@@ -13,19 +13,20 @@ namespace udm {
 /// Reusable per-thread scratch buffers for the density hot paths.
 ///
 /// Every density evaluation needs short-lived working memory (a
-/// `log_terms` vector per log-sum-exp query, a per-chunk `log_product`
-/// accumulator). Allocating these per call puts malloc/free on the hot
+/// `log_terms` vector per log-sum-exp query, per-cell bounds for the
+/// spatial index). Allocating these per call puts malloc/free on the hot
 /// path and defeats the column-major kernel sweeps, so evaluators borrow
-/// buffers from an arena instead. The batch engine (kde/batch_eval.h)
-/// hands each worker the arena of its own thread, and the single-point
-/// entry points use ThreadLocal() directly — so no synchronization is
-/// needed and a buffer stays warm in cache across the queries one thread
-/// processes back to back.
+/// buffers from an arena instead. The batch driver
+/// (kde/summand_density.cc) hands each worker the arena of its own thread,
+/// and the single-point entry points use ThreadLocal() directly — so no
+/// synchronization is needed and a buffer stays warm in cache across the
+/// queries one thread processes back to back.
 ///
 /// Buffers are identified by slot index; a caller may hold several slots
-/// at once (e.g. kLogTerms for the full-model term vector while kProducts
-/// accumulates a chunk). Borrowing the same slot twice in one call frame
-/// would alias, so slots are named rather than pooled.
+/// at once (e.g. kLogTerms for the full-model term vector while
+/// kCellBounds holds the index's per-cell bounds). Borrowing the same slot
+/// twice in one call frame would alias, so slots are named rather than
+/// pooled.
 ///
 /// All buffers are 64-byte aligned (common/simd.h) so the explicit SIMD
 /// sweeps and the vectorized exp pass start on a full cache line.
@@ -37,13 +38,11 @@ class ScratchArena {
   enum Slot : size_t {
     /// Per-summand log-kernel terms (log-sum-exp pass 1).
     kLogTerms = 0,
-    /// Per-point product / log-product accumulator for one chunk.
-    kProducts = 1,
     /// Per-cell best-case contribution bounds (spatial index).
-    kCellBounds = 2,
+    kCellBounds = 1,
     /// Per-cell visited markers (spatial index pass 2; 0.0 / 1.0).
-    kCellFlags = 3,
-    kNumSlots = 4,
+    kCellFlags = 2,
+    kNumSlots = 3,
   };
 
   /// Returns slot `slot` resized to exactly `n` doubles. Contents are

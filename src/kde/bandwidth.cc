@@ -43,4 +43,14 @@ std::vector<double> ComputeBandwidthsFromStats(
   return out;
 }
 
+void DeconvolveStats(std::span<const double> mean_psi2,
+                     std::vector<DimensionStats>& stats) {
+  for (size_t j = 0; j < stats.size(); ++j) {
+    const double corrected =
+        std::max(stats[j].variance - mean_psi2[j], 0.01 * stats[j].variance);
+    stats[j].variance = corrected;
+    stats[j].stddev = std::sqrt(corrected);
+  }
+}
+
 }  // namespace udm

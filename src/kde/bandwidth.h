@@ -2,6 +2,7 @@
 #define UDM_KDE_BANDWIDTH_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "dataset/dataset.h"
@@ -36,6 +37,12 @@ std::vector<double> ComputeBandwidths(const Dataset& data, BandwidthRule rule,
 std::vector<double> ComputeBandwidthsFromStats(
     const std::vector<DimensionStats>& stats, size_t n, BandwidthRule rule,
     double scale = 1.0, double min_bandwidth = 1e-9);
+
+/// Error-corrects `stats` before the bandwidth rule
+/// (DensityEvalOptions::deconvolve_bandwidth): σ_j² ← max(σ_j² −
+/// mean_psi2[j], 0.01·σ_j²), floored so h never collapses entirely.
+void DeconvolveStats(std::span<const double> mean_psi2,
+                     std::vector<DimensionStats>& stats);
 
 }  // namespace udm
 

@@ -1,34 +1,24 @@
 #ifndef UDM_KDE_BATCH_EVAL_H_
 #define UDM_KDE_BATCH_EVAL_H_
 
-/// Shared batch-evaluation engine behind the EvalRequest API. Internal to
-/// the density estimators (kde, error_kde, mc_density) — callers use
-/// `Model::Evaluate(const EvalRequest&)`.
+/// Chunking and query-tiling constants of the density evaluator
+/// (kde/summand_density.h) and the spatial index's drivers. Internal to
+/// the density estimators — callers use `Model::Evaluate(const
+/// EvalRequest&)`.
 
 #include <algorithm>
 #include <cstddef>
-#include <numeric>
-#include <string>
-#include <vector>
-
-#include "common/parallel.h"
-#include "common/result.h"
-#include "common/scratch.h"
-#include "common/stopwatch.h"
-#include "kde/eval.h"
-#include "obs/trace.h"
 
 namespace udm::kde_internal {
 
 /// Summands (training points) per deadline/cancel check inside one
-/// query's kernel sum, shared by every estimator's single-query loop:
-/// large enough to amortize the clock read, small enough that a deadline
-/// is honored within a fraction of a millisecond of kernel math. The
-/// column-major sweeps use the same constant as their chunk length, so
-/// chunked budget charging and the sweep agree on chunk size by
-/// construction. The spatial index's cell-pruned drivers sub-chunk each
-/// *visited cell* at this granularity instead of the whole table — cells
-/// are contiguous runs of the re-packed columns, so charging stays
+/// query's kernel sum: large enough to amortize the clock read, small
+/// enough that a deadline is honored within a fraction of a millisecond
+/// of kernel math. The column-major sweeps use the same constant as their
+/// chunk length, so chunked budget charging and the sweep agree on chunk
+/// size by construction. The spatial index's cell-pruned drivers sub-chunk
+/// each *visited cell* at this granularity instead of the whole table —
+/// cells are contiguous runs of the re-packed columns, so charging stays
 /// cell-aligned and a skipped cell charges nothing.
 inline constexpr size_t kEvalChunk = 256;
 
@@ -44,8 +34,8 @@ inline size_t QueryChunkSize(size_t per_point_kernel_evals) {
   return std::clamp<size_t>(kTargetKernelEvalsPerChunk / cost, 1, 64);
 }
 
-/// Query-tile blocking (DESIGN.md §4k): the dense (non-indexed) Gaussian
-/// paths evaluate up to this many queries against each column-major
+/// Query-tile blocking (DESIGN.md §4k): the dense (non-indexed) routine
+/// evaluates up to this many queries against each column-major
 /// ErrorKernelTable panel while it is cache-resident, instead of
 /// streaming the whole table once per query. Tiling only reorders work
 /// *across* queries — each query still runs the identical per-chunk sweep
@@ -63,141 +53,6 @@ inline size_t QueryTileSize(size_t model_points) {
   if (model_points == 0) return 1;
   return std::clamp<size_t>(kQueryTileDoubleBudget / model_points, size_t{1},
                             kMaxQueryTile);
-}
-
-/// Runs `tile_fn(points, count, dims, ctx, arena, out) -> Status` over
-/// every query of `request`, `query_tile` queries at a time (`points` is
-/// count·model_dims doubles, `out` receives count densities). Tiles never
-/// straddle scheduling chunks: the chunk size is rounded up to a tile
-/// multiple, and both depend only on the model and request, so results
-/// stay bit-identical at every thread width. `model_points` is the
-/// per-query summand count (training points or micro-clusters), used only
-/// to size chunks. The arena is the executing worker's ScratchArena,
-/// fetched once per chunk, so per-query working memory is reused across
-/// every tile a thread processes.
-///
-/// Outcome mapping (mirrors CrossValidate's partial-result contract):
-///   * completed                      -> EvalResult, kCompleted;
-///   * deadline/budget, >=1 point    -> EvalResult prefix, stop_cause set;
-///   * deadline/budget, 0 points     -> that Status;
-///   * cancellation or any other     -> that Status (never partial).
-template <typename TileFn>
-Result<EvalResult> BatchEvaluateTiles(const EvalRequest& request,
-                                      size_t model_dims, size_t model_points,
-                                      size_t query_tile, const char* span_name,
-                                      TileFn&& tile_fn) {
-  if (model_dims == 0) {
-    return Status::InvalidArgument("BatchEvaluate: model has no dimensions");
-  }
-  if (request.points.size() % model_dims != 0) {
-    return Status::InvalidArgument(
-        "BatchEvaluate: points.size() = " +
-        std::to_string(request.points.size()) +
-        " is not a multiple of the model dimensionality " +
-        std::to_string(model_dims));
-  }
-  for (size_t dim : request.subspace) {
-    if (dim >= model_dims) {
-      return Status::InvalidArgument(
-          "BatchEvaluate: subspace index " + std::to_string(dim) +
-          " out of range for " + std::to_string(model_dims) + " dimensions");
-    }
-  }
-
-  const Stopwatch timer;
-  ExecContext unbounded;
-  ExecContext& ctx = request.ctx != nullptr ? *request.ctx : unbounded;
-  // Stitch this batch (and every chunk below) to the originating request:
-  // the scope installs the ExecContext's trace id on the calling thread
-  // before the batch-level span opens.
-  obs::TraceIdScope trace_scope(ctx.trace_id());
-  obs::TraceSpan span(span_name);
-  const size_t num_queries = request.points.size() / model_dims;
-
-  std::vector<size_t> all_dims;
-  std::span<const size_t> dims = request.subspace;
-  if (dims.empty()) {
-    all_dims.resize(model_dims);
-    std::iota(all_dims.begin(), all_dims.end(), size_t{0});
-    dims = all_dims;
-  }
-
-  const uint64_t kernel_evals_before = ctx.kernel_evals_spent();
-
-  EvalResult out;
-  out.densities.assign(num_queries, 0.0);
-
-  const size_t tile = std::max<size_t>(1, query_tile);
-  ParallelForOptions options;
-  options.threads = request.threads;
-  const size_t base_chunk = QueryChunkSize(model_points * dims.size());
-  options.chunk_size =
-      ((std::max(base_chunk, tile) + tile - 1) / tile) * tile;
-  options.ctx = &ctx;
-  const ParallelForResult loop = ParallelFor(
-      num_queries, options,
-      [&](size_t begin, size_t end, size_t /*chunk_index*/) -> Status {
-        // Pool workers joining the batch carry no thread-local request
-        // binding; re-install it per chunk so chunk spans stitch to the
-        // same trace id as the batch span.
-        obs::TraceIdScope chunk_scope(ctx.trace_id());
-        obs::TraceSpan chunk_span("kde.eval_chunk");
-        ScratchArena& arena = ScratchArena::ThreadLocal();
-        for (size_t i = begin; i < end;) {
-          const size_t count = std::min(tile, end - i);
-          const Status status = tile_fn(
-              request.points.subspan(i * model_dims, count * model_dims),
-              count, dims, ctx, arena, out.densities.data() + i);
-          if (!status.ok()) return status;
-          i += count;
-        }
-        return Status::OK();
-      });
-
-  if (!loop.ok()) {
-    const StatusCode code = loop.status.code();
-    const bool partial_eligible = code == StatusCode::kDeadlineExceeded ||
-                                  code == StatusCode::kResourceExhausted;
-    if (!partial_eligible || loop.items_completed == 0) return loop.status;
-    out.densities.resize(loop.items_completed);
-    out.stop_cause = code == StatusCode::kDeadlineExceeded
-                         ? StopCause::kDeadline
-                         : StopCause::kBudget;
-  }
-
-  out.stats.points_requested = num_queries;
-  out.stats.points_evaluated = out.densities.size();
-  out.stats.kernel_evals = ctx.kernel_evals_spent() - kernel_evals_before;
-  out.stats.threads_used = loop.threads_used;
-  out.stats.wall_seconds = timer.ElapsedSeconds();
-  span.AddAttribute("points", static_cast<uint64_t>(num_queries));
-  span.AddAttribute("threads",
-                    static_cast<uint64_t>(out.stats.threads_used));
-  return out;
-}
-
-/// Per-query convenience wrapper over BatchEvaluateTiles (tile size 1):
-/// runs `point_fn(x, dims, ctx, arena) -> Result<double>` for every query
-/// point. Used by the paths that cannot tile (indexed evaluation keeps
-/// per-query cell pruning; the non-Gaussian product path has no shared
-/// panel structure).
-template <typename PointFn>
-Result<EvalResult> BatchEvaluate(const EvalRequest& request,
-                                 size_t model_dims, size_t model_points,
-                                 const char* span_name, PointFn&& point_fn) {
-  return BatchEvaluateTiles(
-      request, model_dims, model_points, /*query_tile=*/1, span_name,
-      [&point_fn, model_dims](std::span<const double> points, size_t count,
-                              std::span<const size_t> dims, ExecContext& ctx,
-                              ScratchArena& arena, double* out) -> Status {
-        for (size_t q = 0; q < count; ++q) {
-          const Result<double> density = point_fn(
-              points.subspan(q * model_dims, model_dims), dims, ctx, arena);
-          if (!density.ok()) return density.status();
-          out[q] = density.value();
-        }
-        return Status::OK();
-      });
 }
 
 }  // namespace udm::kde_internal

@@ -1,75 +1,9 @@
 #include "kde/error_kde.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <limits>
-
-#include "common/math_util.h"
-#include "kde/batch_eval.h"
-#include "kde/eval_obs.h"
-#include "obs/trace.h"
+#include "kde/bandwidth.h"
+#include "kde/kernel_table.h"
 
 namespace udm {
-
-using kde_internal::CellsPrunedCounter;
-using kde_internal::CellsVisitedCounter;
-using kde_internal::CountEvalTrip;
-using kde_internal::ErrorKernelTable;
-using kde_internal::EvalLatencyScope;
-using kde_internal::IndexedEvalCounters;
-using kde_internal::IndexedPrunedSum;
-using kde_internal::ExpSumState;
-using kde_internal::GetSimdDispatch;
-using kde_internal::kEvalChunk;
-using kde_internal::KernelEvalCounter;
-using kde_internal::kMaxQueryTile;
-using kde_internal::PrunedTermsCounter;
-using kde_internal::ResolveIndexMode;
-using kde_internal::ShouldBuildIndex;
-using kde_internal::SpatialIndex;
-
-namespace {
-
-/// Flushes one query's index work accounting to the live metrics and the
-/// caller's (optional) batch accumulator.
-void CountIndexedCells(const IndexedEvalCounters& local,
-                       IndexedEvalCounters* out) {
-  if (local.cells_visited != 0) {
-    CellsVisitedCounter().Increment(local.cells_visited);
-  }
-  if (local.cells_pruned != 0) {
-    CellsPrunedCounter().Increment(local.cells_pruned);
-  }
-  if (out != nullptr) {
-    out->cells_visited += local.cells_visited;
-    out->cells_pruned += local.cells_pruned;
-    out->pruned_terms += local.pruned_terms;
-  }
-}
-
-}  // namespace
-
-ErrorKernelDensity::ErrorKernelDensity(ErrorKernelTable table,
-                                       std::vector<double> bandwidths,
-                                       const DensityEvalOptions& options)
-    : table_(std::move(table)),
-      num_points_(table_.num_points),
-      num_dims_(table_.num_dims),
-      all_dims_(MakeIdentityDims(num_dims_)),
-      bandwidths_(std::move(bandwidths)),
-      normalization_(options.normalization),
-      log_prune_threshold_(options.log_prune_threshold),
-      simd_(&GetSimdDispatch(EffectiveSimdLevel(options.simd))) {
-  if (ShouldBuildIndex(options.index, num_points_)) {
-    index_ = SpatialIndex::Build(table_.values, num_points_, num_dims_,
-                                 table_.neg_inv_two_var, table_.log_norm,
-                                 bandwidths_, /*log_seed=*/{}, options.index);
-    // Re-pack the table cell-contiguously so the indexed and non-indexed
-    // paths sweep the same memory in the same order (bit-identity).
-    table_.Permute(index_->permutation());
-  }
-}
 
 Result<ErrorKernelDensity> ErrorKernelDensity::Fit(
     const Dataset& data, const ErrorModel& errors,
@@ -82,334 +16,55 @@ Result<ErrorKernelDensity> ErrorKernelDensity::Fit(
     return Status::InvalidArgument(
         "ErrorKernelDensity::Fit: error model shape mismatch");
   }
-  if (options.bandwidth_scale <= 0.0 || options.min_bandwidth <= 0.0) {
-    return Status::InvalidArgument(
-        "ErrorKernelDensity::Fit: bandwidth knobs must be positive");
-  }
-  if (std::isnan(options.log_prune_threshold) ||
-      options.log_prune_threshold <= 0.0) {
-    return Status::InvalidArgument(
-        "ErrorKernelDensity::Fit: log_prune_threshold must be positive");
-  }
+  UDM_RETURN_IF_ERROR(kde_internal::ValidateDensityOptions(
+      options, "ErrorKernelDensity::Fit"));
+  const size_t n = data.NumRows();
+  const size_t d = data.NumDims();
   std::vector<double> psi;
-  psi.reserve(data.NumRows() * data.NumDims());
-  for (size_t i = 0; i < data.NumRows(); ++i) {
+  psi.reserve(n * d);
+  for (size_t i = 0; i < n; ++i) {
     const auto row_psi = errors.RowPsi(i);
     psi.insert(psi.end(), row_psi.begin(), row_psi.end());
   }
   std::vector<DimensionStats> stats = data.ComputeStats();
   if (options.deconvolve_bandwidth) {
-    // Remove the mean error mass from each dimension's variance before the
-    // bandwidth rule (floored so h never collapses entirely).
-    for (size_t j = 0; j < data.NumDims(); ++j) {
-      double mean_psi2 = 0.0;
-      for (size_t i = 0; i < data.NumRows(); ++i) {
-        mean_psi2 += psi[i * data.NumDims() + j] * psi[i * data.NumDims() + j];
+    std::vector<double> mean_psi2(d, 0.0);
+    for (size_t j = 0; j < d; ++j) {
+      for (size_t i = 0; i < n; ++i) {
+        mean_psi2[j] += psi[i * d + j] * psi[i * d + j];
       }
-      mean_psi2 /= static_cast<double>(data.NumRows());
-      const double corrected =
-          std::max(stats[j].variance - mean_psi2, 0.01 * stats[j].variance);
-      stats[j].variance = corrected;
-      stats[j].stddev = std::sqrt(corrected);
+      mean_psi2[j] /= static_cast<double>(n);
     }
+    DeconvolveStats(mean_psi2, stats);
   }
   std::vector<double> bandwidths = ComputeBandwidthsFromStats(
-      stats, data.NumRows(), options.bandwidth_rule, options.bandwidth_scale,
+      stats, n, options.bandwidth_rule, options.bandwidth_scale,
       options.min_bandwidth);
-  ErrorKernelTable table =
-      ErrorKernelTable::Build(data.values(), psi, data.NumRows(),
-                              data.NumDims(), bandwidths,
-                              options.normalization);
-  return ErrorKernelDensity(std::move(table), std::move(bandwidths), options);
+  kde_internal::SummandDensity engine(
+      kde_internal::ErrorKernelTable::Build(data.values(), psi, n, d,
+                                            bandwidths, options.normalization),
+      /*log_seed=*/{}, /*divisor=*/static_cast<double>(n), bandwidths,
+      options);
+  return ErrorKernelDensity(std::move(bandwidths), std::move(engine));
 }
 
 double ErrorKernelDensity::Evaluate(std::span<const double> x) const {
-  UDM_CHECK(x.size() == num_dims_) << "Evaluate: dimension mismatch";
-  return EvaluateSubspace(x, all_dims_);
+  return engine_.EvaluatePoint(x, engine_.all_dims(), /*log_space=*/false);
 }
 
 double ErrorKernelDensity::EvaluateSubspace(
     std::span<const double> x, std::span<const size_t> dims) const {
-  UDM_CHECK(x.size() == num_dims_) << "EvaluateSubspace: point dimension";
-  ExecContext unbounded;
-  Result<double> result =
-      SubspaceDensity(x, dims, unbounded, ScratchArena::ThreadLocal(),
-                      index_.has_value() ? &*index_ : nullptr, nullptr);
-  UDM_CHECK(result.ok()) << result.status().ToString();
-  return result.value();
+  return engine_.EvaluatePoint(x, dims, /*log_space=*/false);
 }
 
 double ErrorKernelDensity::LogEvaluateSubspace(
     std::span<const double> x, std::span<const size_t> dims) const {
-  UDM_CHECK(x.size() == num_dims_) << "LogEvaluateSubspace: point dimension";
-  ExecContext unbounded;
-  Result<double> result = SubspaceLogDensity(
-      x, dims, unbounded, ScratchArena::ThreadLocal(),
-      index_.has_value() ? &*index_ : nullptr, nullptr);
-  UDM_CHECK(result.ok()) << result.status().ToString();
-  return result.value();
+  return engine_.EvaluatePoint(x, dims, /*log_space=*/true);
 }
 
 Result<EvalResult> ErrorKernelDensity::Evaluate(
     const EvalRequest& request) const {
-  UDM_ASSIGN_OR_RETURN(
-      const SpatialIndex* index,
-      ResolveIndexMode(index_, request.index, "ErrorKernelDensity"));
-  const bool log_space = request.log_space;
-  std::atomic<uint64_t> pruned_total{0};
-  std::atomic<uint64_t> cells_visited_total{0};
-  std::atomic<uint64_t> cells_pruned_total{0};
-  const auto count_tile = [&](const IndexedEvalCounters& counters) {
-    if (counters.pruned_terms != 0) {
-      pruned_total.fetch_add(counters.pruned_terms,
-                             std::memory_order_relaxed);
-    }
-    if (counters.cells_visited != 0) {
-      cells_visited_total.fetch_add(counters.cells_visited,
-                                    std::memory_order_relaxed);
-    }
-    if (counters.cells_pruned != 0) {
-      cells_pruned_total.fetch_add(counters.cells_pruned,
-                                   std::memory_order_relaxed);
-    }
-  };
-  // The indexed path prunes per query, so it cannot share panels; the
-  // dense path tiles queries against each cache-resident table panel.
-  // Large kAuto batches probe whether the index actually prunes and fall
-  // back to the dense tiled path (bit-identical) when it does not.
-  const size_t dense_tile = kde_internal::QueryTileSize(num_points_);
-  index = kde_internal::ResolveBatchIndex(
-      index, request, num_dims_, dense_tile, all_dims_,
-      [&](std::span<const double> x, std::span<const size_t> dims,
-          IndexedEvalCounters& counters) {
-        ExecContext unbounded;
-        (void)(log_space
-                   ? SubspaceLogDensity(x, dims, unbounded,
-                                        ScratchArena::ThreadLocal(), index,
-                                        &counters)
-                   : SubspaceDensity(x, dims, unbounded,
-                                     ScratchArena::ThreadLocal(), index,
-                                     &counters));
-      });
-  const size_t tile = index != nullptr ? 1 : dense_tile;
-  Result<EvalResult> result = kde_internal::BatchEvaluateTiles(
-      request, num_dims_, num_points_, tile, "error_kde.eval_batch",
-      [this, log_space, index, &count_tile](
-          std::span<const double> points, size_t count,
-          std::span<const size_t> dims, ExecContext& ctx,
-          ScratchArena& scratch, double* out) -> Status {
-        IndexedEvalCounters counters;
-        if (index == nullptr) {
-          const Status status = EvalTileDense(points, count, dims, log_space,
-                                              ctx, scratch, out, &counters);
-          count_tile(counters);
-          return status;
-        }
-        for (size_t q = 0; q < count; ++q) {
-          const std::span<const double> x =
-              points.subspan(q * num_dims_, num_dims_);
-          const Result<double> density =
-              log_space
-                  ? SubspaceLogDensity(x, dims, ctx, scratch, index,
-                                       &counters)
-                  : SubspaceDensity(x, dims, ctx, scratch, index, &counters);
-          if (!density.ok()) {
-            count_tile(counters);
-            return density.status();
-          }
-          out[q] = density.value();
-        }
-        count_tile(counters);
-        return Status::OK();
-      });
-  if (result.ok()) {
-    result.value().stats.pruned_terms =
-        pruned_total.load(std::memory_order_relaxed);
-    result.value().stats.cells_visited =
-        cells_visited_total.load(std::memory_order_relaxed);
-    result.value().stats.cells_pruned =
-        cells_pruned_total.load(std::memory_order_relaxed);
-    result.value().stats.simd = simd_->level;
-  }
-  return result;
-}
-
-void ErrorKernelDensity::SweepTerms(std::span<const double> x,
-                                    std::span<const size_t> dims, size_t first,
-                                    size_t len, double* terms) const {
-  std::fill_n(terms, len, 0.0);
-  for (size_t dim : dims) {
-    UDM_DCHECK(dim < num_dims_);
-    simd_->sweep(x[dim], table_.ValuesCol(dim) + first,
-                 table_.NegInvTwoVarCol(dim) + first,
-                 table_.LogNormCol(dim) + first, terms, len);
-  }
-}
-
-Status ErrorKernelDensity::EvalTileDense(
-    std::span<const double> points, size_t count, std::span<const size_t> dims,
-    bool log_space, ExecContext& ctx, ScratchArena& scratch, double* out,
-    IndexedEvalCounters* counters) const {
-  UDM_TRACE_SPAN(log_space ? "error_kde.log_eval_tile" : "error_kde.eval_tile");
-  EvalLatencyScope latency;
-  UDM_RETURN_IF_ERROR(ctx.Check());
-  std::span<double> log_terms =
-      scratch.Doubles(ScratchArena::kLogTerms, count * num_points_);
-  double max_term[kde_internal::kMaxQueryTile];
-  std::fill_n(max_term, count, -std::numeric_limits<double>::infinity());
-  // Panel loop: chunk-outer, query-inner — every query in the tile sweeps
-  // the same kEvalChunk panel of the three column streams while it is
-  // cache-resident. Each query's own chunk sequence (and so its bits) is
-  // exactly the per-point path's.
-  for (size_t start = 0; start < num_points_; start += kEvalChunk) {
-    const size_t end = std::min(start + kEvalChunk, num_points_);
-    const size_t len = end - start;
-    Status charge = ctx.ChargeKernelEvals(len * dims.size() * count);
-    if (!charge.ok()) return CountEvalTrip(std::move(charge));
-    KernelEvalCounter().Increment(len * dims.size() * count);
-    for (size_t q = 0; q < count; ++q) {
-      double* terms = log_terms.data() + q * num_points_ + start;
-      SweepTerms(points.subspan(q * num_dims_, num_dims_), dims, start, len,
-                 terms);
-      for (size_t i = 0; i < len; ++i) {
-        max_term[q] = std::max(max_term[q], terms[i]);
-      }
-    }
-    Status check = ctx.Check();
-    if (!check.ok()) return CountEvalTrip(std::move(check));
-  }
-  const double log_n = std::log(static_cast<double>(num_points_));
-  for (size_t q = 0; q < count; ++q) {
-    if (!std::isfinite(max_term[q])) {
-      out[q] = log_space ? -std::numeric_limits<double>::infinity() : 0.0;
-      continue;
-    }
-    ExpSumState state;
-    simd_->pruned_exp_accum(log_terms.data() + q * num_points_, num_points_,
-                            max_term[q], log_space ? max_term[q] : 0.0,
-                            log_prune_threshold_, state);
-    if (state.pruned != 0) {
-      PrunedTermsCounter().Increment(state.pruned);
-      if (counters != nullptr) counters->pruned_terms += state.pruned;
-    }
-    out[q] = log_space
-                 ? max_term[q] + std::log(state.Total()) - log_n
-                 : state.Total() / static_cast<double>(num_points_);
-  }
-  return Status::OK();
-}
-
-Result<double> ErrorKernelDensity::SubspaceDensity(
-    std::span<const double> x, std::span<const size_t> dims, ExecContext& ctx,
-    ScratchArena& scratch, const SpatialIndex* index,
-    IndexedEvalCounters* counters) const {
-  if (x.size() != num_dims_) {
-    return Status::InvalidArgument("EvaluateSubspace: point dimension");
-  }
-  UDM_TRACE_SPAN("error_kde.eval");
-  EvalLatencyScope latency;
-  UDM_RETURN_IF_ERROR(ctx.Check());
-  if (index != nullptr) {
-    IndexedEvalCounters local;
-    Result<double> total = IndexedPrunedSum(
-        *index, x, dims, log_prune_threshold_, /*log_space=*/false, *simd_,
-        ctx, scratch,
-        [&](size_t first, size_t len, double* terms) {
-          SweepTerms(x, dims, first, len, terms);
-        },
-        local);
-    CountIndexedCells(local, counters);
-    if (!total.ok()) return total.status();
-    if (local.pruned_terms != 0) {
-      PrunedTermsCounter().Increment(local.pruned_terms);
-    }
-    return total.value() / static_cast<double>(num_points_);
-  }
-  // Same two-pass pruned sum as SubspaceLogDensity, accumulated in linear
-  // space (PrunedLinearSum): the shared gap test is what makes the indexed
-  // path's cell skips bit-identical here too.
-  std::span<double> log_terms =
-      scratch.Doubles(ScratchArena::kLogTerms, num_points_);
-  double max_term = -std::numeric_limits<double>::infinity();
-  for (size_t start = 0; start < num_points_; start += kEvalChunk) {
-    const size_t end = std::min(start + kEvalChunk, num_points_);
-    const size_t len = end - start;
-    Status charge = ctx.ChargeKernelEvals(len * dims.size());
-    if (!charge.ok()) return CountEvalTrip(std::move(charge));
-    KernelEvalCounter().Increment(len * dims.size());
-    double* terms = log_terms.data() + start;
-    SweepTerms(x, dims, start, len, terms);
-    for (size_t i = 0; i < len; ++i) max_term = std::max(max_term, terms[i]);
-    Status check = ctx.Check();
-    if (!check.ok()) return CountEvalTrip(std::move(check));
-  }
-  if (!std::isfinite(max_term)) return 0.0;
-  ExpSumState state;
-  simd_->pruned_exp_accum(log_terms.data(), num_points_, max_term,
-                          /*shift=*/0.0, log_prune_threshold_, state);
-  if (state.pruned != 0) {
-    PrunedTermsCounter().Increment(state.pruned);
-    if (counters != nullptr) counters->pruned_terms += state.pruned;
-  }
-  return state.Total() / static_cast<double>(num_points_);
-}
-
-Result<double> ErrorKernelDensity::SubspaceLogDensity(
-    std::span<const double> x, std::span<const size_t> dims, ExecContext& ctx,
-    ScratchArena& scratch, const SpatialIndex* index,
-    IndexedEvalCounters* counters) const {
-  if (x.size() != num_dims_) {
-    return Status::InvalidArgument("LogEvaluateSubspace: point dimension");
-  }
-  UDM_TRACE_SPAN("error_kde.log_eval");
-  EvalLatencyScope latency;
-  UDM_RETURN_IF_ERROR(ctx.Check());
-  if (index != nullptr) {
-    IndexedEvalCounters local;
-    Result<double> log_sum = IndexedPrunedSum(
-        *index, x, dims, log_prune_threshold_, /*log_space=*/true, *simd_,
-        ctx, scratch,
-        [&](size_t first, size_t len, double* terms) {
-          SweepTerms(x, dims, first, len, terms);
-        },
-        local);
-    CountIndexedCells(local, counters);
-    if (!log_sum.ok()) return log_sum.status();
-    if (local.pruned_terms != 0) {
-      PrunedTermsCounter().Increment(local.pruned_terms);
-    }
-    return log_sum.value() - std::log(static_cast<double>(num_points_));
-  }
-  // Pass 1: materialize every log-term via the column-major sweeps and
-  // find the exact maximum. Pass 2 (PrunedLogSumExp) accumulates
-  // exp(term - max), skipping terms the pruning gap proves negligible.
-  std::span<double> log_terms =
-      scratch.Doubles(ScratchArena::kLogTerms, num_points_);
-  double max_term = -std::numeric_limits<double>::infinity();
-  for (size_t start = 0; start < num_points_; start += kEvalChunk) {
-    const size_t end = std::min(start + kEvalChunk, num_points_);
-    const size_t len = end - start;
-    Status charge = ctx.ChargeKernelEvals(len * dims.size());
-    if (!charge.ok()) return CountEvalTrip(std::move(charge));
-    KernelEvalCounter().Increment(len * dims.size());
-    double* terms = log_terms.data() + start;
-    SweepTerms(x, dims, start, len, terms);
-    for (size_t i = 0; i < len; ++i) max_term = std::max(max_term, terms[i]);
-    Status check = ctx.Check();
-    if (!check.ok()) return CountEvalTrip(std::move(check));
-  }
-  if (!std::isfinite(max_term)) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  ExpSumState state;
-  simd_->pruned_exp_accum(log_terms.data(), num_points_, max_term,
-                          /*shift=*/max_term, log_prune_threshold_, state);
-  if (state.pruned != 0) {
-    PrunedTermsCounter().Increment(state.pruned);
-    if (counters != nullptr) counters->pruned_terms += state.pruned;
-  }
-  return max_term + std::log(state.Total()) -
-         std::log(static_cast<double>(num_points_));
+  return engine_.Evaluate(request, "ErrorKernelDensity");
 }
 
 }  // namespace udm

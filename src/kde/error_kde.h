@@ -2,23 +2,15 @@
 #define UDM_KDE_ERROR_KDE_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "common/exec_context.h"
 #include "common/result.h"
-#include "common/scratch.h"
 #include "dataset/dataset.h"
 #include "error/error_model.h"
-#include "kde/bandwidth.h"
 #include "kde/eval.h"
-#include "kde/kernel.h"
-#include "kde/kernel_table.h"
-#include "kde/simd_sweep.h"
-#include "kde/spatial_index.h"
+#include "kde/summand_density.h"
 
 namespace udm {
 
@@ -29,14 +21,16 @@ namespace udm {
 ///   f_Q(x) = (1/N) · Σ_i Π_j Q'_{h_j}(x_j − X_ij, ψ_j(X_i)).
 ///
 /// With an all-zero error model this reduces exactly to the standard
-/// Gaussian product KDE — the paper's "no error adjustment" comparator.
+/// Gaussian product KDE of Eq. 2 — the paper's "no error adjustment"
+/// comparator, and the `kde` kind of `udm_serve`.
 ///
 /// Exact point-level evaluation is O(N·|S|) per query; with the spatial
 /// index (DensityEvalOptions::index, built by default at this fit size)
 /// whole grid cells are skipped when their best-case contribution cannot
 /// survive the pruning gap — sub-linear in practice, bit-identical always.
-/// The scalable micro-cluster surrogate lives in
-/// microcluster/mc_density.h.
+/// Fit builds the summand table; every evaluation runs in the shared
+/// evaluator (kde/summand_density.h). The scalable micro-cluster surrogate
+/// lives in microcluster/mc_density.h.
 class ErrorKernelDensity {
  public:
   /// Fits the estimator over `data` with the per-entry errors ψ. The error
@@ -72,76 +66,22 @@ class ErrorKernelDensity {
   /// Per-dimension bandwidths h_j (Silverman by default).
   const std::vector<double>& bandwidths() const { return bandwidths_; }
 
-  size_t num_points() const { return num_points_; }
-  size_t num_dims() const { return num_dims_; }
+  size_t num_points() const { return engine_.num_points(); }
+  size_t num_dims() const { return engine_.num_dims(); }
 
   /// Whether Fit built a spatial index (IndexMode::kForce succeeds).
-  bool has_index() const { return index_.has_value(); }
+  bool has_index() const { return engine_.has_index(); }
   /// Occupied index cells (0 without an index) — serving observability.
-  size_t index_cells() const {
-    return index_.has_value() ? index_->num_cells() : 0;
-  }
+  size_t index_cells() const { return engine_.index_cells(); }
 
  private:
-  /// Chunked, context-aware implementations shared by every public entry
-  /// point (linear and pruned log-sum-exp accumulation respectively),
-  /// running the column-major precomputed-table sweeps of kernel_table.h
-  /// with working memory borrowed from `scratch`. `index` selects the
-  /// cell-pruned path (nullptr = exact full sweep); `counters`, when
-  /// non-null, accumulates pruning/cell work accounting.
-  Result<double> SubspaceDensity(std::span<const double> x,
-                                 std::span<const size_t> dims,
-                                 ExecContext& ctx, ScratchArena& scratch,
-                                 const kde_internal::SpatialIndex* index,
-                                 kde_internal::IndexedEvalCounters* counters)
-      const;
-  Result<double> SubspaceLogDensity(
-      std::span<const double> x, std::span<const size_t> dims,
-      ExecContext& ctx, ScratchArena& scratch,
-      const kde_internal::SpatialIndex* index,
-      kde_internal::IndexedEvalCounters* counters) const;
+  ErrorKernelDensity(std::vector<double> bandwidths,
+                     kde_internal::SummandDensity engine)
+      : bandwidths_(std::move(bandwidths)), engine_(std::move(engine)) {}
 
-  /// Fills terms[0..len) with the per-point log-kernel sums over `dims`
-  /// for table positions [first, first+len) — the one sweep core both
-  /// paths and both index modes share, routed through the model's SIMD
-  /// dispatch.
-  void SweepTerms(std::span<const double> x, std::span<const size_t> dims,
-                  size_t first, size_t len, double* terms) const;
-
-  /// Dense (non-indexed) evaluation of a tile of `count` queries against
-  /// the shared table panels: chunk-outer/query-inner, so each kEvalChunk
-  /// panel of the three column streams is reused by every query in the
-  /// tile while cache-resident. Per-query arithmetic is identical to the
-  /// per-point paths (same chunk order, same sweeps, same exp-and-sum),
-  /// so results are bit-identical to tile size 1.
-  Status EvalTileDense(std::span<const double> points, size_t count,
-                       std::span<const size_t> dims, bool log_space,
-                       ExecContext& ctx, ScratchArena& scratch, double* out,
-                       kde_internal::IndexedEvalCounters* counters) const;
-
-  ErrorKernelDensity(kde_internal::ErrorKernelTable table,
-                     std::vector<double> bandwidths,
-                     const DensityEvalOptions& options);
-
-  static std::vector<size_t> MakeIdentityDims(size_t num_dims) {
-    std::vector<size_t> dims(num_dims);
-    for (size_t j = 0; j < num_dims; ++j) dims[j] = j;
-    return dims;
-  }
-
-  kde_internal::ErrorKernelTable table_;  // column-major precompute (§4f)
-  size_t num_points_;
-  size_t num_dims_;
-  std::vector<size_t> all_dims_;  // cached identity subspace (0..d-1)
   std::vector<double> bandwidths_;
-  KernelNormalization normalization_;
-  double log_prune_threshold_;
-  /// Kernel dispatch resolved from DensityEvalOptions::simd at fit time
-  /// (points at one of the static tables in kde/simd_sweep.cc).
-  const kde_internal::SimdDispatch* simd_;
-  /// Cell-pruned spatial index over the (re-packed) table; absent below
-  /// DensityIndexOptions::min_points or when disabled.
-  std::optional<kde_internal::SpatialIndex> index_;
+  /// The summand table over the training points (seed 0, divisor N).
+  kde_internal::SummandDensity engine_;
 };
 
 }  // namespace udm

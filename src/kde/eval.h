@@ -26,8 +26,8 @@ enum class IndexMode {
   /// EvalStats' cell counters, never in the values.
   kAuto,
   /// Require the index; Evaluate fails with FailedPrecondition when the
-  /// model has none (too few points, non-Gaussian kernel, or disabled at
-  /// fit time). For callers that budget on sub-linear evaluation.
+  /// model has none (too few points, or disabled at fit time). For callers
+  /// that budget on sub-linear evaluation.
   kForce,
   /// Never consult the index — the exact O(N·|S|) reference path.
   kOff,
@@ -65,8 +65,8 @@ struct DensityIndexOptions {
   size_t min_mean_occupancy = 16;
 };
 
-/// Shared tuning knobs for every density estimator (KernelDensity,
-/// ErrorKernelDensity point-level, McDensityModel micro-cluster-level).
+/// Shared tuning knobs for every density estimator (ErrorKernelDensity
+/// point-level, McDensityModel micro-cluster-level).
 /// One struct instead of per-model option sprawl: the bandwidth pipeline,
 /// the error-kernel normalization, the log-sum-exp pruning gap, and the
 /// spatial-index build knobs are the same concepts everywhere.
@@ -85,7 +85,6 @@ struct DensityEvalOptions {
   /// clean data's smoothing scale while ψ still carries each entry's own
   /// uncertainty. With zero errors this is a no-op, so the paper's
   /// comparators are unaffected; bench/ablation_bandwidth quantifies it.
-  /// Ignored by KernelDensity (no per-entry errors).
   bool deconvolve_bandwidth = false;
   /// Pruning gap for the two-pass kernel sums, in both evaluation spaces:
   /// a per-point log-term more than this far below the maximum skips its
@@ -97,8 +96,7 @@ struct DensityEvalOptions {
   /// gap drives whole-cell pruning in the spatial index — this is what
   /// makes indexed evaluation sub-linear while staying bit-identical. Set
   /// to std::numeric_limits<double>::infinity() to disable pruning and
-  /// recover the exact single/two-pass sums. Applies to the Gaussian
-  /// paths; non-Gaussian (compact-kernel) products never prune.
+  /// recover the exact two-pass sums.
   double log_prune_threshold = 37.0;
   /// Spatial-index build knobs (see DensityIndexOptions).
   DensityIndexOptions index;
@@ -113,8 +111,7 @@ struct DensityEvalOptions {
 };
 
 /// One batch of density queries against a fitted estimator — the single
-/// evaluation entry point shared by KernelDensity, ErrorKernelDensity, and
-/// McDensityModel. Replaces the per-point overload sprawl (plain /
+/// evaluation entry point shared by ErrorKernelDensity and McDensityModel. Replaces the per-point overload sprawl (plain /
 /// subspace / log / ExecContext variants) with one request struct; the
 /// deprecated per-point ExecContext shims have been removed.
 ///
@@ -155,9 +152,9 @@ struct EvalStats {
   /// Resolved width (requested threads clamped to the available work).
   size_t threads_used = 1;
   double wall_seconds = 0.0;
-  /// Gaussian-path terms whose exp() was skipped by the gap test, in
-  /// either evaluation space (estimators with a finite
-  /// log_prune_threshold; see DensityEvalOptions). Counts terms in
+  /// Terms whose exp() was skipped by the gap test, in either evaluation
+  /// space (estimators with a finite log_prune_threshold; see
+  /// DensityEvalOptions). Counts terms in
   /// index-skipped cells too, so the value is identical under every
   /// IndexMode. Mirrors the `kde.pruned_terms` metric. Like kernel_evals,
   /// an upper bound on a partial-prefix stop: chunks past the prefix may

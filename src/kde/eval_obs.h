@@ -4,15 +4,14 @@
 #include <utility>
 
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "obs/metrics.h"
 
 namespace udm::kde_internal {
 
-/// Shared observability hooks for the density-evaluation hot paths
-/// (KernelDensity, ErrorKernelDensity, McDensityModel). All evaluators
-/// feed the same `kde.*` metrics so a run report shows total kernel work
-/// regardless of which representation served it (DESIGN.md §4d).
+/// Shared observability hooks for the density-evaluation hot paths. The
+/// one evaluator (kde/summand_density.h) and the spatial index feed the
+/// same `kde.*` metrics whichever estimator served the query, so a run
+/// report shows total kernel work (DESIGN.md §4d).
 
 inline obs::Counter& KernelEvalCounter() {
   static obs::Counter& counter =
@@ -65,18 +64,6 @@ inline Status CountEvalTrip(Status status) {
   }
   return status;
 }
-
-/// Records the wall time of one Evaluate call on every exit path. Two
-/// clock reads per call — cheap relative to an N-point kernel sum, and
-/// deliberately not per-chunk.
-struct EvalLatencyScope {
-  ~EvalLatencyScope() {
-    static obs::Histogram& hist =
-        obs::MetricsRegistry::Global().GetHistogram("kde.eval.seconds");
-    hist.Record(watch.ElapsedSeconds());
-  }
-  Stopwatch watch;
-};
 
 }  // namespace udm::kde_internal
 

@@ -13,8 +13,8 @@
 
 namespace udm {
 
-/// Grid evaluation utilities for density models. KernelDensity,
-/// ErrorKernelDensity, and McDensityModel all expose the batched
+/// Grid evaluation utilities for density models. ErrorKernelDensity and
+/// McDensityModel both expose the batched
 /// `Evaluate(EvalRequest)` entry point; these helpers turn it into 1-D
 /// profiles and 2-D fields for inspection, plotting, and the numeric
 /// integration used throughout the test suite. Sampling goes through the

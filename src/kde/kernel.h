@@ -7,23 +7,6 @@
 
 namespace udm {
 
-/// Classic smoothing kernels for standard (error-free) KDE. All are
-/// normalized densities in the scaled variable u = (x - X_i)/h.
-enum class KernelType {
-  kGaussian,
-  kEpanechnikov,
-  kUniform,
-  kTriangular,
-};
-
-/// K(u) for the chosen kernel (unit-bandwidth form).
-double KernelValue(KernelType type, double u);
-
-/// The smoothed kernel K_h(x - X_i) = K((x - X_i)/h) / h. Requires h > 0.
-inline double ScaledKernelValue(KernelType type, double x_minus_xi, double h) {
-  return KernelValue(type, x_minus_xi / h) / h;
-}
-
 /// Normalization convention for the paper's error-based kernel (Eq. 3).
 ///
 /// Eq. 3 normalizes by (h + ψ), which is not the exact Gaussian normalizer
@@ -42,8 +25,9 @@ enum class KernelNormalization {
 ///   Q'(δ, ψ) = 1/(√(2π)·s) · exp(−δ² / (2·(h² + ψ²)))
 ///
 /// with s = h + ψ (kPaper) or s = √(h² + ψ²) (kExact). Requires h > 0 and
-/// ψ >= 0. With ψ = 0 this reduces exactly to the Gaussian kernel of Eq. 2
-/// under either normalization.
+/// ψ >= 0. With ψ = 0 this reduces exactly to the Gaussian kernel of Eq. 2,
+/// K_h(δ) = φ(δ/h)/h, under either normalization — which is how the plain
+/// KDE comparator is expressed (ErrorKernelDensity with a zero error model).
 inline double ErrorKernelValue(double x_minus_xi, double h, double psi,
                                KernelNormalization normalization =
                                    KernelNormalization::kPaper) {

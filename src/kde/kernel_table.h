@@ -1,14 +1,14 @@
 #ifndef UDM_KDE_KERNEL_TABLE_H_
 #define UDM_KDE_KERNEL_TABLE_H_
 
-/// Precomputed column-major kernel tables and the contiguous sweeps over
-/// them — the shared fast path behind ErrorKernelDensity, McDensityModel,
-/// and (in its ψ=0 per-dimension form) KernelDensity. Internal to the
-/// density estimators; callers use the model Evaluate entry points.
+/// Precomputed column-major kernel tables and the contiguous sweep over
+/// them — the summand table of the one density evaluator
+/// (kde/summand_density.h) behind ErrorKernelDensity and McDensityModel.
+/// Internal to the density estimators; callers use the model Evaluate
+/// entry points.
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "common/math_util.h"
@@ -81,67 +81,6 @@ inline void SweepLogKernel(double x_d, const double* col,
     const double delta = x_d - col[i];
     acc[i] = std::fma(delta * delta, neg_inv_two_var[i], acc[i] + log_norm[i]);
   }
-}
-
-/// Same sweep with a single (neg_inv_two_var, log_norm) pair for the whole
-/// column — the ψ=0 plain-KDE case, where the per-point tables collapse to
-/// one entry per dimension. Same pinned fma sequence as SweepLogKernel.
-inline void SweepLogKernelUniform(double x_d, const double* col,
-                                  double neg_inv_two_var, double log_norm,
-                                  double* acc, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const double delta = x_d - col[i];
-    acc[i] = std::fma(delta * delta, neg_inv_two_var, acc[i] + log_norm);
-  }
-}
-
-/// Pruned second pass of log-sum-exp: returns log Σ_i exp(log_terms[i])
-/// given the exact maximum from pass 1, skipping the exp() of any term
-/// more than `log_prune_gap` below the maximum and counting the skips
-/// into `*pruned_terms` (if non-null). A pruned term would contribute
-/// less than exp(−gap) to a compensated sum whose leading term is 1, so
-/// the default gap of ~37 (exp(−37) ≈ 8.5e-17, below one ulp of 1.0)
-/// changes the result by at most N·exp(−gap) relative — and the decision
-/// depends only on the term values, never on timing or thread count, so
-/// pruning is deterministic. A gap of +∞ prunes nothing and reproduces
-/// the exact two-pass sum.
-inline double PrunedLogSumExp(std::span<const double> log_terms,
-                              double max_term, double log_prune_gap,
-                              uint64_t* pruned_terms) {
-  KahanSum sum;
-  uint64_t pruned = 0;
-  for (const double term : log_terms) {
-    if (max_term - term > log_prune_gap) {
-      ++pruned;
-      continue;
-    }
-    sum.Add(std::exp(term - max_term));
-  }
-  if (pruned_terms != nullptr) *pruned_terms += pruned;
-  return max_term + std::log(sum.Total());
-}
-
-/// Linear-space counterpart of PrunedLogSumExp: returns Σ_i exp(log_terms[i])
-/// (no max shift — the caller wants the plain sum), pruning by the same
-/// value-determined gap test so the linear and log paths share one pruning
-/// semantics. The error bound is the same: each skipped term is below
-/// exp(max − gap), and the sum is at least exp(max), so the relative error
-/// is under N·exp(−gap) — invisible at the default gap of ~37. A gap of +∞
-/// reproduces the exact sum.
-inline double PrunedLinearSum(std::span<const double> log_terms,
-                              double max_term, double log_prune_gap,
-                              uint64_t* pruned_terms) {
-  KahanSum sum;
-  uint64_t pruned = 0;
-  for (const double term : log_terms) {
-    if (max_term - term > log_prune_gap) {
-      ++pruned;
-      continue;
-    }
-    sum.Add(std::exp(term));
-  }
-  if (pruned_terms != nullptr) *pruned_terms += pruned;
-  return sum.Total();
 }
 
 }  // namespace udm::kde_internal

@@ -69,19 +69,14 @@ inline constexpr double kExpC3 = 1.0 / 6.0;
 inline constexpr double kExpC2 = 1.0 / 2.0;
 
 // ---------------------------------------------------------------------------
-// Scalar level: the reference. The sweeps are the kernel_table.h
-// inlines; the exp-and-sum is the PrunedLogSumExp/PrunedLinearSum loop
-// body with the shift generalized (max_term for log space, 0.0 for
-// linear — note t − 0.0 ≡ t bitwise, including −0.0).
+// Scalar level: the reference. The sweep is the kernel_table.h inline;
+// the exp-and-sum is the compensated two-pass sum with the shift
+// generalized (max_term for log space, 0.0 for linear — note t − 0.0 ≡ t
+// bitwise, including −0.0).
 
 void SweepScalar(double x_d, const double* col, const double* neg_inv_two_var,
                  const double* log_norm, double* acc, size_t n) {
   SweepLogKernel(x_d, col, neg_inv_two_var, log_norm, acc, n);
-}
-
-void SweepUniformScalar(double x_d, const double* col, double neg_inv_two_var,
-                        double log_norm, double* acc, size_t n) {
-  SweepLogKernelUniform(x_d, col, neg_inv_two_var, log_norm, acc, n);
 }
 
 void ExpAccumScalar(const double* terms, size_t n, double max_term,
@@ -190,25 +185,6 @@ __attribute__((target("avx2,fma"))) void SweepAvx2(double x_d,
   }
 }
 
-__attribute__((target("avx2,fma"))) void SweepUniformAvx2(
-    double x_d, const double* col, double neg_inv_two_var, double log_norm,
-    double* acc, size_t n) {
-  const __m256d vx = _mm256_set1_pd(x_d);
-  const __m256d vniv = _mm256_set1_pd(neg_inv_two_var);
-  const __m256d vln = _mm256_set1_pd(log_norm);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_sub_pd(vx, _mm256_loadu_pd(col + i));
-    const __m256d base = _mm256_add_pd(_mm256_loadu_pd(acc + i), vln);
-    const __m256d res = _mm256_fmadd_pd(_mm256_mul_pd(d, d), vniv, base);
-    _mm256_storeu_pd(acc + i, res);
-  }
-  for (; i < n; ++i) {
-    const double delta = x_d - col[i];
-    acc[i] = std::fma(delta * delta, neg_inv_two_var, acc[i] + log_norm);
-  }
-}
-
 __attribute__((target("avx2,fma"))) void ExpAccumAvx2(const double* terms,
                                                       size_t n,
                                                       double max_term,
@@ -309,30 +285,6 @@ __attribute__((target("avx512f,avx512dq"))) void SweepAvx512(
   }
 }
 
-__attribute__((target("avx512f,avx512dq"))) void SweepUniformAvx512(
-    double x_d, const double* col, double neg_inv_two_var, double log_norm,
-    double* acc, size_t n) {
-  const __m512d vx = _mm512_set1_pd(x_d);
-  const __m512d vniv = _mm512_set1_pd(neg_inv_two_var);
-  const __m512d vln = _mm512_set1_pd(log_norm);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d d = _mm512_sub_pd(vx, _mm512_loadu_pd(col + i));
-    const __m512d base = _mm512_add_pd(_mm512_loadu_pd(acc + i), vln);
-    const __m512d res = _mm512_fmadd_pd(_mm512_mul_pd(d, d), vniv, base);
-    _mm512_storeu_pd(acc + i, res);
-  }
-  if (i < n) {
-    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    const __m512d d =
-        _mm512_sub_pd(vx, _mm512_maskz_loadu_pd(tail, col + i));
-    const __m512d base =
-        _mm512_add_pd(_mm512_maskz_loadu_pd(tail, acc + i), vln);
-    const __m512d res = _mm512_fmadd_pd(_mm512_mul_pd(d, d), vniv, base);
-    _mm512_mask_storeu_pd(acc + i, tail, res);
-  }
-}
-
 __attribute__((target("avx512f,avx512dq"))) void ExpAccumAvx512(
     const double* terms, size_t n, double max_term, double shift, double gap,
     ExpSumState& state) {
@@ -376,12 +328,12 @@ __attribute__((target("avx512f,avx512dq"))) void ExpAccumAvx512(
 
 const SimdDispatch& GetSimdDispatch(SimdLevel level) {
   static const SimdDispatch kScalarTable{SimdLevel::kScalar, &SweepScalar,
-                                         &SweepUniformScalar, &ExpAccumScalar};
+                                         &ExpAccumScalar};
 #if UDM_SIMD_X86
   static const SimdDispatch kAvx2Table{SimdLevel::kAvx2, &SweepAvx2,
-                                       &SweepUniformAvx2, &ExpAccumAvx2};
+                                       &ExpAccumAvx2};
   static const SimdDispatch kAvx512Table{SimdLevel::kAvx512, &SweepAvx512,
-                                         &SweepUniformAvx512, &ExpAccumAvx512};
+                                         &ExpAccumAvx512};
   switch (level) {
     case SimdLevel::kAvx512:
       return kAvx512Table;

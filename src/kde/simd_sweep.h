@@ -72,27 +72,21 @@ using SweepKernelFn = void (*)(double x_d, const double* col,
                                const double* neg_inv_two_var,
                                const double* log_norm, double* acc, size_t n);
 
-/// SweepLogKernelUniform: one (neg_inv_two_var, log_norm) pair per column.
-using SweepUniformFn = void (*)(double x_d, const double* col,
-                                double neg_inv_two_var, double log_norm,
-                                double* acc, size_t n);
-
 /// Pruned exp-and-sum over `terms[0, n)`: for every term with
 /// max_term − term ≤ gap, adds exp(term − shift) to state.sum (strictly
 /// in term order); every other term increments state.pruned. `shift` is
-/// max_term for the log-space path and 0.0 for the linear path,
-/// reproducing PrunedLogSumExp / PrunedLinearSum exactly at the scalar
-/// level.
+/// max_term for the log-space path and 0.0 for the linear path; the
+/// scalar level is the compensated two-pass log-sum-exp (or linear sum)
+/// reference.
 using PrunedExpAccumFn = void (*)(const double* terms, size_t n,
                                   double max_term, double shift, double gap,
                                   ExpSumState& state);
 
-/// One resolved dispatch level: the three hot-path entry points plus the
+/// One resolved dispatch level: the two hot-path entry points plus the
 /// level they implement (reported through EvalStats/serve/bench).
 struct SimdDispatch {
   SimdLevel level = SimdLevel::kScalar;
   SweepKernelFn sweep = nullptr;
-  SweepUniformFn sweep_uniform = nullptr;
   PrunedExpAccumFn pruned_exp_accum = nullptr;
 };
 

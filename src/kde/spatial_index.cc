@@ -27,13 +27,13 @@ uint64_t CellKey(std::span<const KeyDim> key_dims,
 
 }  // namespace
 
-SpatialIndex SpatialIndex::Build(std::span<const double> columns,
-                                 size_t num_points, size_t num_dims,
-                                 std::span<const double> neg_inv_two_var,
-                                 std::span<const double> log_norm,
+SpatialIndex SpatialIndex::Build(const ErrorKernelTable& table,
                                  std::span<const double> bandwidths,
                                  std::span<const double> log_seed,
                                  const DensityIndexOptions& options) {
+  const std::span<const double> columns = table.values;
+  const size_t num_points = table.num_points;
+  const size_t num_dims = table.num_dims;
   SpatialIndex index;
   index.num_dims_ = num_dims;
 
@@ -126,17 +126,15 @@ SpatialIndex SpatialIndex::Build(std::span<const double> columns,
   // bounds stay exact for any query subspace. Column-major like the
   // kernel tables: entry (c, j) at [j*C + c].
   const size_t num_cells = index.num_cells();
-  const bool uniform = neg_inv_two_var.size() == num_dims;
   index.lo_.resize(num_cells * num_dims);
   index.hi_.resize(num_cells * num_dims);
   index.a_max_.resize(num_cells * num_dims);
   index.b_max_.resize(num_cells * num_dims);
   index.max_seed_.assign(num_cells, 0.0);
   for (size_t j = 0; j < num_dims; ++j) {
-    const double* values = columns.data() + j * num_points;
-    const double* a_col = uniform ? nullptr
-                                  : neg_inv_two_var.data() + j * num_points;
-    const double* b_col = uniform ? nullptr : log_norm.data() + j * num_points;
+    const double* values = table.ValuesCol(j);
+    const double* a_col = table.NegInvTwoVarCol(j);
+    const double* b_col = table.LogNormCol(j);
     for (size_t c = 0; c < num_cells; ++c) {
       double lo = std::numeric_limits<double>::infinity();
       double hi = -std::numeric_limits<double>::infinity();
@@ -147,15 +145,13 @@ SpatialIndex SpatialIndex::Build(std::span<const double> columns,
         const size_t i = index.perm_[p];
         lo = std::min(lo, values[i]);
         hi = std::max(hi, values[i]);
-        if (!uniform) {
-          a_max = std::max(a_max, a_col[i]);
-          b_max = std::max(b_max, b_col[i]);
-        }
+        a_max = std::max(a_max, a_col[i]);
+        b_max = std::max(b_max, b_col[i]);
       }
       index.lo_[j * num_cells + c] = lo;
       index.hi_[j * num_cells + c] = hi;
-      index.a_max_[j * num_cells + c] = uniform ? neg_inv_two_var[j] : a_max;
-      index.b_max_[j * num_cells + c] = uniform ? log_norm[j] : b_max;
+      index.a_max_[j * num_cells + c] = a_max;
+      index.b_max_[j * num_cells + c] = b_max;
     }
   }
   if (!log_seed.empty()) {
@@ -188,18 +184,6 @@ void SpatialIndex::ComputeCellBounds(std::span<const double> x,
       bounds[c] += d * d * a[c] + b[c];
     }
   }
-}
-
-std::vector<double> GatherColumns(std::span<const double> columns,
-                                  size_t num_points, size_t num_dims,
-                                  std::span<const size_t> perm) {
-  std::vector<double> out(columns.size());
-  for (size_t j = 0; j < num_dims; ++j) {
-    const double* src = columns.data() + j * num_points;
-    double* dst = out.data() + j * num_points;
-    for (size_t i = 0; i < num_points; ++i) dst[i] = src[perm[i]];
-  }
-  return out;
 }
 
 std::vector<double> GatherRows(std::span<const double> rows,

@@ -32,6 +32,7 @@
 #include "kde/batch_eval.h"
 #include "kde/eval.h"
 #include "kde/eval_obs.h"
+#include "kde/kernel_table.h"
 #include "kde/simd_sweep.h"
 
 namespace udm::kde_internal {
@@ -57,23 +58,17 @@ struct IndexedEvalCounters {
 /// re-packed summand order, and per-(cell, dim) bound tables.
 class SpatialIndex {
  public:
-  /// Builds the grid over `columns` (column-major num_points × num_dims
-  /// summand values). `neg_inv_two_var`/`log_norm` are the per-entry
-  /// log-kernel coefficient tables, either per (summand, dim)
-  /// (size num_points·num_dims, column-major — the error-kernel case) or
-  /// per dim (size num_dims — the uniform ψ=0 plain-KDE case).
-  /// `log_seed`, when non-empty (size num_points), is each summand's
-  /// additive log-space seed (log micro-cluster weight); per-cell maxima
-  /// of it fold into the bounds. `bandwidths` size the cells.
+  /// Builds the grid over the summand table: its value columns place the
+  /// summands and its per-entry log-kernel coefficients feed the per-cell
+  /// bounds. `log_seed`, when non-empty (size num_points), is each
+  /// summand's additive log-space seed (log micro-cluster weight); per-cell
+  /// maxima of it fold into the bounds. `bandwidths` size the cells.
   ///
   /// The build chooses a deterministic cell-contiguous re-packing of the
   /// summands, exposed as permutation(); the caller must gather every
   /// per-summand array it evaluates with through that permutation so the
   /// indexed and non-indexed paths iterate identical memory.
-  static SpatialIndex Build(std::span<const double> columns,
-                            size_t num_points, size_t num_dims,
-                            std::span<const double> neg_inv_two_var,
-                            std::span<const double> log_norm,
+  static SpatialIndex Build(const ErrorKernelTable& table,
                             std::span<const double> bandwidths,
                             std::span<const double> log_seed,
                             const DensityIndexOptions& options);
@@ -116,11 +111,8 @@ class SpatialIndex {
 };
 
 /// Gathers per-summand arrays into a permutation's order (out[i] =
-/// in[perm[i]]): one column-major matrix, one row-major matrix, and one
-/// flat vector variant, for re-packing model storage after Build.
-std::vector<double> GatherColumns(std::span<const double> columns,
-                                  size_t num_points, size_t num_dims,
-                                  std::span<const size_t> perm);
+/// in[perm[i]]): one row-major matrix and one flat vector variant, for
+/// re-packing model storage after Build.
 std::vector<double> GatherRows(std::span<const double> rows,
                                size_t num_points, size_t num_dims,
                                std::span<const size_t> perm);
@@ -140,7 +132,7 @@ inline Result<const SpatialIndex*> ResolveIndexMode(
     return Status::FailedPrecondition(
         std::string(model_name) +
         ": IndexMode::kForce, but the model built no spatial index "
-        "(too few points, non-Gaussian kernel, or disabled at fit time)");
+        "(too few points, or disabled at fit time)");
   }
   return static_cast<const SpatialIndex*>(nullptr);
 }
@@ -212,7 +204,8 @@ const SpatialIndex* ResolveBatchIndex(const SpatialIndex* index,
 /// either accumulation space: returns log Σ_i exp(term_i) (`log_space`)
 /// or Σ_i exp(term_i), with the same two-pass semantics — and the same
 /// bits, pruned-term count included — as materializing every term and
-/// calling PrunedLogSumExp / PrunedLinearSum (kernel_table.h). Both
+/// running one pruned exp-and-sum over them (the dense routine of
+/// kde/summand_density.h). Both
 /// spaces share one pruning rule (terms more than `log_prune_gap` below
 /// the exact maximum are skipped), which is what lets the index skip
 /// whole cells in linear space too.

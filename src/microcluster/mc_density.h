@@ -3,17 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "common/exec_context.h"
 #include "common/result.h"
-#include "common/scratch.h"
 #include "kde/eval.h"
-#include "kde/kernel.h"
-#include "kde/kernel_table.h"
-#include "kde/spatial_index.h"
+#include "kde/summand_density.h"
 #include "microcluster/microcluster.h"
 
 namespace udm {
@@ -33,7 +29,8 @@ namespace udm {
 /// bound, so radius-wide clusters cannot be pruned optimistically).
 /// Bandwidths are Silverman over the *underlying data's* statistics,
 /// recovered from the additive CF tuples, so no second pass over the data
-/// is needed.
+/// is needed. Build makes the summand table; every evaluation runs in the
+/// shared evaluator (kde/summand_density.h).
 class McDensityModel {
  public:
   /// Builds the model from a summary. `clusters` must be non-empty with at
@@ -67,7 +64,7 @@ class McDensityModel {
   /// Total underlying data count N = Σ n(C).
   uint64_t total_count() const { return total_count_; }
 
-  size_t num_dims() const { return num_dims_; }
+  size_t num_dims() const { return engine_.num_dims(); }
 
   /// Per-dimension Silverman bandwidths recovered from the summary.
   const std::vector<double>& bandwidths() const { return bandwidths_; }
@@ -83,68 +80,27 @@ class McDensityModel {
   std::span<const double> weights() const { return weights_; }
 
   /// Whether Build built a spatial index (IndexMode::kForce succeeds).
-  bool has_index() const { return index_.has_value(); }
+  bool has_index() const { return engine_.has_index(); }
   /// Occupied index cells (0 without an index) — serving observability.
-  size_t index_cells() const {
-    return index_.has_value() ? index_->num_cells() : 0;
-  }
+  size_t index_cells() const { return engine_.index_cells(); }
 
  private:
-  /// Context-aware implementations (check + charge, then the O(m·|S|)
-  /// column-major table sweep — cell-pruned when `index` is non-null)
-  /// shared by every public entry point. `counters`, when non-null,
-  /// accumulates pruning/cell work accounting.
-  Result<double> SubspaceDensity(std::span<const double> x,
-                                 std::span<const size_t> dims,
-                                 ExecContext& ctx, ScratchArena& scratch,
-                                 const kde_internal::SpatialIndex* index,
-                                 kde_internal::IndexedEvalCounters* counters)
-      const;
-  Result<double> SubspaceLogDensity(
-      std::span<const double> x, std::span<const size_t> dims,
-      ExecContext& ctx, ScratchArena& scratch,
-      const kde_internal::SpatialIndex* index,
-      kde_internal::IndexedEvalCounters* counters) const;
-
-  /// The shared sweep core over table positions [first, first+len):
-  /// fills `terms[0..len)` with `seed[first+i] + Σ_dims log Q'` (seed =
-  /// nullptr seeds 0 — the linear path; log_weights_ — the log path),
-  /// routed through the model's SIMD dispatch.
-  void SweepLogTerms(std::span<const double> x, std::span<const size_t> dims,
-                     const double* seed, size_t first, size_t len,
-                     double* terms) const;
-
-  /// Dense (non-indexed) evaluation of a tile of `count` queries against
-  /// shared table panels (see ErrorKernelDensity::EvalTileDense); the
-  /// weighted sum needs no ÷N — weights are already normalized.
-  Status EvalTileDense(std::span<const double> points, size_t count,
-                       std::span<const size_t> dims, bool log_space,
-                       ExecContext& ctx, ScratchArena& scratch, double* out,
-                       kde_internal::IndexedEvalCounters* counters) const;
-
-  McDensityModel(std::vector<double> centroids,
-                 kde_internal::ErrorKernelTable table,
-                 std::vector<double> weights, uint64_t total_count,
-                 size_t num_dims, std::vector<double> bandwidths,
-                 const DensityEvalOptions& options);
+  McDensityModel(std::vector<double> centroids, std::vector<double> weights,
+                 uint64_t total_count, std::vector<double> bandwidths,
+                 kde_internal::SummandDensity engine)
+      : centroids_(std::move(centroids)),
+        weights_(std::move(weights)),
+        total_count_(total_count),
+        bandwidths_(std::move(bandwidths)),
+        engine_(std::move(engine)) {}
 
   std::vector<double> centroids_;  // row-major m x d (public accessor)
-  /// Column-major precompute over (centroid, Δ) pseudo-points (§4f).
-  kde_internal::ErrorKernelTable table_;
-  std::vector<double> weights_;      // n(C)/N per cluster
-  std::vector<double> log_weights_;  // log(n(C)/N), precomputed
+  std::vector<double> weights_;    // n(C)/N per cluster
   uint64_t total_count_;
-  size_t num_dims_;
-  std::vector<size_t> all_dims_;  // cached identity subspace (0..d-1)
   std::vector<double> bandwidths_;
-  KernelNormalization normalization_;
-  double log_prune_threshold_;
-  /// Kernel dispatch resolved from DensityEvalOptions::simd at build time.
-  const kde_internal::SimdDispatch* simd_;
-  /// Cell-pruned spatial index over the (re-packed) pseudo-points, seeded
-  /// with per-cell max log-weights; absent below
-  /// DensityIndexOptions::min_points or when disabled.
-  std::optional<kde_internal::SpatialIndex> index_;
+  /// The summand table over (centroid, Δ) pseudo-points, seeded with
+  /// log(n(C)/N) and divisor 1 — the weights are already normalized.
+  kde_internal::SummandDensity engine_;
 };
 
 }  // namespace udm

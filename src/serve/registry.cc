@@ -55,7 +55,6 @@ const char* ModelKindToString(ModelKind kind) {
 Result<EvalResult> ModelEntry::Evaluate(const EvalRequest& request) const {
   switch (kind) {
     case ModelKind::kKde:
-      return kde->Evaluate(request);
     case ModelKind::kErrorKde:
       return error_kde->Evaluate(request);
     case ModelKind::kMcDensity:
@@ -208,48 +207,43 @@ ModelRegistry::BuildSnapshot(const std::string& path, ExecContext* ctx) const {
       std::string csv;
       UDM_RETURN_IF_ERROR(read_with_retry(file, &csv));
       UDM_ASSIGN_OR_RETURN(Dataset data, ReadCsvString(csv));
-      if (kind == "kde") {
-        UDM_ASSIGN_OR_RETURN(KernelDensity model, KernelDensity::Fit(data));
-        entry->kind = ModelKind::kKde;
+      // The plain KDE is the ψ ≡ 0 error KDE (DESIGN.md S10).
+      const std::string psi_spec =
+          kind == "kde" ? "-" : (tokens.size() >= 4 ? tokens[3] : "");
+      if (psi_spec.empty()) {
+        return ManifestError(path, line_no,
+                             "'" + kind + "' needs a psi spec ('-' = none)");
+      }
+      Result<ErrorModel> errors =
+          MakeErrors(psi_spec, data.NumRows(), data.NumDims());
+      if (!errors.ok()) {
+        return ManifestError(path, line_no, errors.status().message());
+      }
+      if (kind != "classifier") {
+        UDM_ASSIGN_OR_RETURN(ErrorKernelDensity model,
+                             ErrorKernelDensity::Fit(data, *errors));
+        entry->kind = kind == "kde" ? ModelKind::kKde : ModelKind::kErrorKde;
         entry->num_dims = model.num_dims();
         entry->index_cells = model.index_cells();
-        entry->kde.emplace(std::move(model));
+        entry->error_kde.emplace(std::move(model));
       } else {
-        if (tokens.size() < 4) {
-          return ManifestError(path, line_no,
-                               "'" + kind + "' needs a psi spec ('-' = none)");
-        }
-        Result<ErrorModel> errors =
-            MakeErrors(tokens[3], data.NumRows(), data.NumDims());
-        if (!errors.ok()) {
-          return ManifestError(path, line_no, errors.status().message());
-        }
-        if (kind == "error_kde") {
-          UDM_ASSIGN_OR_RETURN(ErrorKernelDensity model,
-                               ErrorKernelDensity::Fit(data, *errors));
-          entry->kind = ModelKind::kErrorKde;
-          entry->num_dims = model.num_dims();
-          entry->index_cells = model.index_cells();
-          entry->error_kde.emplace(std::move(model));
-        } else {
-          DegradingClassifier::Options options;
-          if (tokens.size() >= 5) {
-            char* end = nullptr;
-            const long clusters = std::strtol(tokens[4].c_str(), &end, 10);
-            if (end == tokens[4].c_str() || *end != '\0' || clusters <= 0) {
-              return ManifestError(path, line_no,
-                                   "bad cluster count '" + tokens[4] + "'");
-            }
-            options.num_clusters = static_cast<size_t>(clusters);
+        DegradingClassifier::Options options;
+        if (tokens.size() >= 5) {
+          char* end = nullptr;
+          const long clusters = std::strtol(tokens[4].c_str(), &end, 10);
+          if (end == tokens[4].c_str() || *end != '\0' || clusters <= 0) {
+            return ManifestError(path, line_no,
+                                 "bad cluster count '" + tokens[4] + "'");
           }
-          UDM_ASSIGN_OR_RETURN(
-              DegradingClassifier model,
-              DegradingClassifier::Train(data, *errors, options));
-          entry->kind = ModelKind::kClassifier;
-          entry->num_dims = model.num_dims();
-          entry->classifier =
-              std::make_unique<DegradingClassifier>(std::move(model));
+          options.num_clusters = static_cast<size_t>(clusters);
         }
+        UDM_ASSIGN_OR_RETURN(
+            DegradingClassifier model,
+            DegradingClassifier::Train(data, *errors, options));
+        entry->kind = ModelKind::kClassifier;
+        entry->num_dims = model.num_dims();
+        entry->classifier =
+            std::make_unique<DegradingClassifier>(std::move(model));
       }
     } else {
       return ManifestError(path, line_no, "unknown model kind '" + kind + "'");

@@ -13,7 +13,6 @@
 #include "common/result.h"
 #include "kde/error_kde.h"
 #include "kde/eval.h"
-#include "kde/kde.h"
 #include "microcluster/mc_density.h"
 #include "robustness/degrade.h"
 #include "robustness/fault_injector.h"
@@ -24,7 +23,7 @@ namespace udm::serve {
 
 /// Which estimator family a registry entry wraps.
 enum class ModelKind {
-  kKde = 0,        ///< exact KernelDensity (no error model)
+  kKde = 0,        ///< exact plain KDE (Eq. 2): ErrorKernelDensity, ψ ≡ 0
   kErrorKde,       ///< exact ErrorKernelDensity (Eq. 4)
   kMcDensity,      ///< micro-cluster surrogate (Eq. 10)
   kClassifier,     ///< DegradingClassifier ladder
@@ -46,7 +45,7 @@ class ModelEntry {
   /// load so operators can see which models serve sub-linearly.
   size_t index_cells = 0;
 
-  std::optional<KernelDensity> kde;
+  /// The fitted estimator of a kKde or kErrorKde entry.
   std::optional<ErrorKernelDensity> error_kde;
   std::optional<McDensityModel> mc;
   std::unique_ptr<DegradingClassifier> classifier;
@@ -81,7 +80,8 @@ class ModelEntry {
 ///   classifier <name> <csv> <psi|-> [clusters]
 ///
 /// `<psi>` is a uniform per-entry error std-dev (the paper's homogeneous
-/// special case); '-' means zero error. CSV files use the repo CSV schema
+/// special case); '-' means zero error, so `kde <name> <csv>` serves the
+/// same model as `error_kde <name> <csv> -`. CSV files use the repo CSV schema
 /// (trailing integer label column); density models ignore the labels.
 ///
 /// Every file read is wrapped in RetryWithPolicy with the FaultInjector

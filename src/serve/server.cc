@@ -546,7 +546,7 @@ ServeResponse Server::Execute(const WorkItem& item, uint64_t* kernel_evals) {
   ExecBudget budget;
   budget.max_kernel_evals = request.eval_budget;
   ExecContext ctx(item.deadline, drain_cancel_.token(), budget);
-  // The context carries the request identity into BatchEvaluate and the
+  // The context carries the request identity into the batch driver and the
   // ladder: every chunk re-installs it on its executing thread.
   ctx.set_trace_id(request.trace_id);
   struct SpendReporter {

@@ -23,7 +23,6 @@
 #include "error/perturbation.h"
 #include "kde/error_kde.h"
 #include "kde/eval.h"
-#include "kde/kde.h"
 #include "microcluster/clusterer.h"
 #include "microcluster/mc_density.h"
 #include "robustness/checkpoint.h"
@@ -57,8 +56,10 @@ class CancellationTest : public ::testing::Test {
   CancellationSource source_;
 };
 
-TEST_F(CancellationTest, KernelDensityEvaluate) {
-  const Result<KernelDensity> kde = KernelDensity::Fit(data_);
+TEST_F(CancellationTest, PlainKdeEvaluate) {
+  // The plain KDE is the ψ ≡ 0 error KDE (DESIGN.md S10).
+  const Result<ErrorKernelDensity> kde = ErrorKernelDensity::Fit(
+      data_, ErrorModel::Zero(data_.NumRows(), data_.NumDims()));
   ASSERT_TRUE(kde.ok()) << kde.status().ToString();
   ExecContext ctx(Deadline::Infinite(), CancelledToken());
   EvalRequest request;

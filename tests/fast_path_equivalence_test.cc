@@ -19,7 +19,6 @@
 #include "error/error_model.h"
 #include "error/perturbation.h"
 #include "kde/error_kde.h"
-#include "kde/kde.h"
 #include "kde/kernel.h"
 #include "kde/simd_sweep.h"
 #include "microcluster/clusterer.h"
@@ -243,73 +242,62 @@ TEST(FastPathEquivalenceTest, RejectsInvalidPruneThreshold) {
           .ok());
 }
 
+/// Naive Eq. 1-2 plain KDE: the Gaussian product Π_j φ((x_j − X_ij)/h_j)/h_j
+/// per training point, summed and divided by N.
+double NaiveGaussianProductDensity(const Dataset& data,
+                                   std::span<const double> bandwidths,
+                                   std::span<const double> x,
+                                   std::span<const size_t> dims) {
+  KahanSum sum;
+  for (size_t i = 0; i < data.NumRows(); ++i) {
+    const auto train = data.Row(i);
+    double product = 1.0;
+    for (size_t dim : dims) {
+      product *= StdNormalPdf((x[dim] - train[dim]) / bandwidths[dim]) /
+                 bandwidths[dim];
+    }
+    sum.Add(product);
+  }
+  return sum.Total() / static_cast<double>(data.NumRows());
+}
+
 TEST(FastPathEquivalenceTest, GaussianKdeMatchesNaiveProduct) {
+  // The plain KDE is the ψ ≡ 0 error KDE (DESIGN.md S10).
   const Fixture& f = SharedFixture();
-  const KernelDensity kde = KernelDensity::Fit(f.uncertain.data).value();
+  const ErrorKernelDensity kde =
+      ErrorKernelDensity::Fit(f.uncertain.data,
+                              ErrorModel::Zero(f.uncertain.data.NumRows(),
+                                               f.uncertain.data.NumDims()))
+          .value();
   const std::vector<size_t> all = AllDims(f.clean.NumDims());
   const std::vector<size_t> subspace = {0, 3, 5};
   for (const size_t row : {0UL, 11UL, 77UL, 190UL}) {
     const auto x = f.uncertain.data.Row(row);
     for (const auto& dims : {all, subspace}) {
-      KahanSum sum;
-      for (size_t i = 0; i < f.uncertain.data.NumRows(); ++i) {
-        const auto train = f.uncertain.data.Row(i);
-        double product = 1.0;
-        for (size_t dim : dims) {
-          product *= ScaledKernelValue(KernelType::kGaussian,
-                                       x[dim] - train[dim],
-                                       kde.bandwidths()[dim]);
-        }
-        sum.Add(product);
-      }
-      const double naive =
-          sum.Total() / static_cast<double>(f.uncertain.data.NumRows());
-      ExpectRelClose(kde.EvaluateSubspace(x, dims), naive, "gaussian kde");
+      ExpectRelClose(kde.EvaluateSubspace(x, dims),
+                     NaiveGaussianProductDensity(f.uncertain.data,
+                                                 kde.bandwidths(), x, dims),
+                     "gaussian kde");
     }
-  }
-}
-
-TEST(FastPathEquivalenceTest, NonGaussianKdeMatchesNaiveProduct) {
-  const Fixture& f = SharedFixture();
-  const KernelDensity kde =
-      KernelDensity::Fit(f.uncertain.data, {}, KernelType::kEpanechnikov)
-          .value();
-  const std::vector<size_t> all = AllDims(f.clean.NumDims());
-  for (const size_t row : {2UL, 40UL, 130UL}) {
-    const auto x = f.uncertain.data.Row(row);
-    KahanSum sum;
-    for (size_t i = 0; i < f.uncertain.data.NumRows(); ++i) {
-      const auto train = f.uncertain.data.Row(i);
-      double product = 1.0;
-      for (size_t dim : all) {
-        product *= ScaledKernelValue(KernelType::kEpanechnikov,
-                                     x[dim] - train[dim],
-                                     kde.bandwidths()[dim]);
-        if (product == 0.0) break;
-      }
-      sum.Add(product);
-    }
-    const double naive =
-        sum.Total() / static_cast<double>(f.uncertain.data.NumRows());
-    ExpectRelClose(kde.EvaluateSubspace(x, all), naive, "epanechnikov kde");
   }
 }
 
 TEST(FastPathEquivalenceTest, ZeroErrorRowsCollapseToPlainGaussian) {
-  // With an all-zero error model the per-(point, dim) tables must equal
-  // the plain KDE's per-dimension tables entry for entry, so the two
-  // estimators agree essentially bit-for-bit.
+  // With an all-zero error model the per-(point, dim) tables collapse to
+  // the plain Gaussian kernel, in log space too: the log-sum-exp path must
+  // match the log of the naive Gaussian product.
   const Fixture& f = SharedFixture();
   const ErrorKernelDensity error_kde =
       ErrorKernelDensity::Fit(
           f.clean, ErrorModel::Zero(f.clean.NumRows(), f.clean.NumDims()))
           .value();
-  const KernelDensity plain = KernelDensity::Fit(f.clean).value();
   const std::vector<size_t> all = AllDims(f.clean.NumDims());
   for (const size_t row : {0UL, 50UL, 150UL}) {
     const auto x = f.clean.Row(row);
-    ExpectRelClose(error_kde.EvaluateSubspace(x, all),
-                   plain.EvaluateSubspace(x, all), "psi=0 collapse");
+    ExpectRelClose(error_kde.LogEvaluateSubspace(x, all),
+                   std::log(NaiveGaussianProductDensity(
+                       f.clean, error_kde.bandwidths(), x, all)),
+                   "psi=0 collapse");
   }
 }
 
@@ -413,18 +401,6 @@ TEST(SimdDispatchTest, SweepBitIdenticalToScalarAtEverySize) {
       for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(acc_scalar[i], acc_vector[i])
             << "sweep level=" << SimdLevelName(level) << " n=" << n
-            << " i=" << i;
-      }
-      // Uniform (per-dimension constant) variant, same contract.
-      std::vector<double> uni_scalar(acc_scalar);
-      std::vector<double> uni_vector(acc_scalar);
-      scalar.sweep_uniform(0.83, col.data(), -7.5, -0.25, uni_scalar.data(),
-                           n);
-      dispatch.sweep_uniform(0.83, col.data(), -7.5, -0.25, uni_vector.data(),
-                             n);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(uni_scalar[i], uni_vector[i])
-            << "sweep_uniform level=" << SimdLevelName(level) << " n=" << n
             << " i=" << i;
       }
     }

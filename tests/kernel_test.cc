@@ -21,53 +21,23 @@ double Integrate(double lo, double hi, size_t steps,
   return integral;
 }
 
-TEST(KernelTest, AllKernelsIntegrateToOne) {
-  for (const KernelType type :
-       {KernelType::kGaussian, KernelType::kEpanechnikov, KernelType::kUniform,
-        KernelType::kTriangular}) {
-    const double integral = Integrate(
-        -10.0, 10.0, 20000, [&](double u) { return KernelValue(type, u); });
-    EXPECT_NEAR(integral, 1.0, 1e-4) << static_cast<int>(type);
-  }
-}
-
-TEST(KernelTest, AllKernelsSymmetricAndPeakAtZero) {
-  for (const KernelType type :
-       {KernelType::kGaussian, KernelType::kEpanechnikov, KernelType::kUniform,
-        KernelType::kTriangular}) {
-    for (const double u : {0.1, 0.5, 0.9, 1.5}) {
-      EXPECT_DOUBLE_EQ(KernelValue(type, u), KernelValue(type, -u));
-      EXPECT_LE(KernelValue(type, u), KernelValue(type, 0.0) + 1e-15);
-    }
-  }
-}
-
-TEST(KernelTest, CompactKernelsVanishOutsideSupport) {
-  for (const KernelType type : {KernelType::kEpanechnikov,
-                                KernelType::kUniform,
-                                KernelType::kTriangular}) {
-    EXPECT_DOUBLE_EQ(KernelValue(type, 1.5), 0.0);
-    EXPECT_DOUBLE_EQ(KernelValue(type, -2.0), 0.0);
-  }
-  EXPECT_GT(KernelValue(KernelType::kGaussian, 3.0), 0.0);
-}
-
-TEST(KernelTest, ScaledKernelIntegratesToOne) {
+TEST(KernelTest, GaussianKernelIntegratesToOne) {
+  // The plain Gaussian kernel K_h of Eq. 2 is the ψ = 0 error kernel.
   const double h = 0.35;
   const double xi = 2.0;
   const double integral =
       Integrate(xi - 10.0, xi + 10.0, 20000, [&](double x) {
-        return ScaledKernelValue(KernelType::kGaussian, x - xi, h);
+        return ErrorKernelValue(x - xi, h, 0.0);
       });
   EXPECT_NEAR(integral, 1.0, 1e-4);
 }
 
 TEST(ErrorKernelTest, ZeroPsiReducesToGaussianKernel) {
-  // Eq. 3 with ψ = 0 must equal Eq. 2 under both normalizations.
+  // Eq. 3 with ψ = 0 must equal Eq. 2, K_h(δ) = φ(δ/h)/h, under both
+  // normalizations.
   const double h = 0.4;
   for (const double delta : {-2.0, -0.3, 0.0, 0.7, 1.9}) {
-    const double standard =
-        ScaledKernelValue(KernelType::kGaussian, delta, h);
+    const double standard = StdNormalPdf(delta / h) / h;
     EXPECT_NEAR(ErrorKernelValue(delta, h, 0.0, KernelNormalization::kPaper),
                 standard, 1e-14);
     EXPECT_NEAR(ErrorKernelValue(delta, h, 0.0, KernelNormalization::kExact),

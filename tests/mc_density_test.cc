@@ -10,6 +10,7 @@
 #include "error/perturbation.h"
 #include "kde/error_kde.h"
 #include "microcluster/clusterer.h"
+#include "obs/metrics.h"
 
 namespace udm {
 namespace {
@@ -60,6 +61,38 @@ TEST(McDensityTest, OnePointPerClusterEqualsExactErrorKde) {
                 exact.EvaluateSubspace(x, dims),
                 1e-9 * (1.0 + exact.EvaluateSubspace(x, dims)));
   }
+}
+
+TEST(McDensityTest, EvalSecondsRecordsOneSamplePerEvaluateCall) {
+  // `kde.eval.seconds` has one meaning on every model: one sample per
+  // Evaluate(EvalRequest) call, however many queries, tiles or threads.
+  const UncertainDataset uncertain = MakeUncertain(300, 1.0);
+  MicroClusterer::Options options;
+  options.num_clusters = 20;
+  const McDensityModel mc = McDensityModel::Build(
+      BuildMicroClusters(uncertain.data, uncertain.errors, options).value())
+                                .value();
+  const ErrorKernelDensity exact =
+      ErrorKernelDensity::Fit(uncertain.data, uncertain.errors).value();
+  const obs::Histogram& seconds =
+      obs::MetricsRegistry::Global().GetHistogram("kde.eval.seconds");
+  EvalRequest request;
+  request.points = uncertain.data.values().subspan(0, 40 * 2);
+  request.threads = 2;
+  for (const bool log_space : {false, true}) {
+    request.log_space = log_space;
+    uint64_t before = seconds.Count();
+    ASSERT_TRUE(exact.Evaluate(request).ok());
+    EXPECT_EQ(seconds.Count(), before + 1) << "error KDE, log=" << log_space;
+    before = seconds.Count();
+    ASSERT_TRUE(mc.Evaluate(request).ok());
+    EXPECT_EQ(seconds.Count(), before + 1) << "mc, log=" << log_space;
+  }
+  // The per-point entry points are not batch calls and record nothing.
+  const uint64_t before = seconds.Count();
+  (void)exact.EvaluateSubspace(uncertain.data.Row(0), std::vector<size_t>{0});
+  (void)mc.LogEvaluateSubspace(uncertain.data.Row(0), std::vector<size_t>{1});
+  EXPECT_EQ(seconds.Count(), before);
 }
 
 TEST(McDensityTest, LogMatchesLinear) {

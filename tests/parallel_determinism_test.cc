@@ -18,7 +18,6 @@
 #include "error/perturbation.h"
 #include "kde/error_kde.h"
 #include "kde/eval.h"
-#include "kde/kde.h"
 #include "microcluster/clusterer.h"
 #include "microcluster/mc_density.h"
 
@@ -60,7 +59,12 @@ EvalRequest MakeRequest(const Fixture& f, size_t queries, size_t threads,
 
 TEST(ParallelDeterminismTest, ExactKdeBatchMatchesSerial) {
   const Fixture& f = SharedFixture();
-  const KernelDensity kde = KernelDensity::Fit(f.uncertain.data).value();
+  // The plain KDE is the ψ ≡ 0 error KDE (DESIGN.md S10).
+  const ErrorKernelDensity kde =
+      ErrorKernelDensity::Fit(f.uncertain.data,
+                              ErrorModel::Zero(f.uncertain.data.NumRows(),
+                                               f.uncertain.data.NumDims()))
+          .value();
   const EvalResult serial = kde.Evaluate(MakeRequest(f, 64, 1)).value();
   ASSERT_TRUE(serial.complete());
   for (const size_t threads : kWidths) {

@@ -18,7 +18,6 @@
 #include "error/perturbation.h"
 #include "kde/error_kde.h"
 #include "kde/eval.h"
-#include "kde/kde.h"
 #include "microcluster/clusterer.h"
 #include "microcluster/mc_density.h"
 
@@ -107,8 +106,13 @@ TEST(SpatialIndexTest, ErrorKdeBitIdenticalAcrossNormalizations) {
 }
 
 TEST(SpatialIndexTest, PlainKdeBitIdentical) {
+  // The plain KDE is the ψ ≡ 0 error KDE (DESIGN.md S10).
   const Fixture& f = SharedFixture();
-  const KernelDensity kde = KernelDensity::Fit(f.uncertain.data).value();
+  const ErrorKernelDensity kde =
+      ErrorKernelDensity::Fit(f.uncertain.data,
+                              ErrorModel::Zero(f.uncertain.data.NumRows(),
+                                               f.uncertain.data.NumDims()))
+          .value();
   ASSERT_TRUE(kde.has_index());
   const std::span<const double> queries =
       f.uncertain.data.values().subspan(0, 48 * f.clean.NumDims());
@@ -186,17 +190,6 @@ TEST(SpatialIndexTest, DisabledAtFitTimeBuildsNothing) {
   options.index.enabled = false;
   const ErrorKernelDensity kde =
       ErrorKernelDensity::Fit(f.uncertain.data, f.uncertain.errors, options)
-          .value();
-  EXPECT_FALSE(kde.has_index());
-  const KernelDensity plain =
-      KernelDensity::Fit(f.uncertain.data, options).value();
-  EXPECT_FALSE(plain.has_index());
-}
-
-TEST(SpatialIndexTest, NonGaussianKernelsBuildNoIndex) {
-  const Fixture& f = SharedFixture();
-  const KernelDensity kde =
-      KernelDensity::Fit(f.uncertain.data, {}, KernelType::kEpanechnikov)
           .value();
   EXPECT_FALSE(kde.has_index());
 }
