@@ -1,8 +1,11 @@
 #include "cluster/ekmeans.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/random.h"
+#include "common/stopwatch.h"
+#include "microcluster/centroid_table.h"
 
 namespace udm {
 
@@ -30,7 +33,8 @@ Result<KMeansResult> ErrorKMeans(const Dataset& data, const ErrorModel& errors,
   const size_t k = options.k;
   Rng rng(options.seed);
 
-  // k-means++ style seeding under the assignment distance.
+  // k-means++ style seeding under the assignment distance. Each round
+  // sweeps every point against the newest center only (a one-row table).
   std::vector<double> centroids;
   centroids.reserve(k * d);
   {
@@ -38,17 +42,18 @@ Result<KMeansResult> ErrorKMeans(const Dataset& data, const ErrorModel& errors,
     const auto row = data.Row(first);
     centroids.insert(centroids.end(), row.begin(), row.end());
     std::vector<double> best_dist(n, std::numeric_limits<double>::infinity());
+    CentroidTable last_center(d, options.distance);
+    last_center.Append(row);
     while (centroids.size() < k * d) {
-      const size_t centers = centroids.size() / d;
+      const Stopwatch watch;
       double total = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        const std::span<const double> last_center{
-            centroids.data() + (centers - 1) * d, d};
-        const double dist = AssignmentDistanceValue(
-            options.distance, data.Row(i), errors.RowPsi(i), last_center);
+        const double dist =
+            last_center.Nearest(data.Row(i), errors.RowPsi(i)).distance;
         best_dist[i] = std::min(best_dist[i], dist);
         total += best_dist[i];
       }
+      RecordAssignment(n, watch.ElapsedSeconds());
       size_t chosen = 0;
       if (total > 0.0) {
         double pick = rng.Uniform() * total;
@@ -64,11 +69,16 @@ Result<KMeansResult> ErrorKMeans(const Dataset& data, const ErrorModel& errors,
       }
       const auto chosen_row = data.Row(chosen);
       centroids.insert(centroids.end(), chosen_row.begin(), chosen_row.end());
+      last_center.Set(0, chosen_row);
     }
   }
 
   KMeansResult result;
   result.assignments.assign(n, -1);
+  CentroidTable table(d, options.distance);
+  for (size_t c = 0; c < k; ++c) {
+    table.Append(std::span<const double>(centroids.data() + c * d, d));
+  }
 
   // Seeding is one more N·k distance sweep; charge it with the context so
   // a budget covers the whole call, not just the Lloyd loop.
@@ -93,24 +103,18 @@ Result<KMeansResult> ErrorKMeans(const Dataset& data, const ErrorModel& errors,
     result.iterations = iter + 1;
     bool changed = false;
     result.inertia = 0.0;
+    const Stopwatch watch;
     for (size_t i = 0; i < n; ++i) {
-      int best = 0;
-      double best_dist = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < k; ++c) {
-        const std::span<const double> centroid{centroids.data() + c * d, d};
-        const double dist = AssignmentDistanceValue(
-            options.distance, data.Row(i), errors.RowPsi(i), centroid);
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = static_cast<int>(c);
-        }
-      }
+      const NearestCentroid nearest =
+          table.Nearest(data.Row(i), errors.RowPsi(i));
+      const int best = static_cast<int>(nearest.index);
       if (result.assignments[i] != best) {
         result.assignments[i] = best;
         changed = true;
       }
-      result.inertia += best_dist;
+      result.inertia += nearest.distance;
     }
+    RecordAssignment(n * k, watch.ElapsedSeconds());
     if (!changed) {
       result.converged = true;
       break;
@@ -130,6 +134,7 @@ Result<KMeansResult> ErrorKMeans(const Dataset& data, const ErrorModel& errors,
       for (size_t j = 0; j < d; ++j) {
         centroids[c * d + j] = sums[c * d + j] / static_cast<double>(counts[c]);
       }
+      table.Set(c, std::span<const double>(centroids.data() + c * d, d));
     }
   }
 

@@ -42,7 +42,10 @@ class ScratchArena {
     kCellBounds = 1,
     /// Per-cell visited markers (spatial index pass 2; 0.0 / 1.0).
     kCellFlags = 2,
-    kNumSlots = 3,
+    /// Eq. 5 assignment sweep: per-centroid distances, then ψ_j²
+    /// (microcluster/centroid_table.h).
+    kAssignDistances = 3,
+    kNumSlots = 4,
   };
 
   /// Returns slot `slot` resized to exactly `n` doubles. Contents are

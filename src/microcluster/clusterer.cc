@@ -1,7 +1,5 @@
 #include "microcluster/clusterer.h"
 
-#include <limits>
-
 namespace udm {
 
 Result<MicroClusterer> MicroClusterer::Create(size_t num_dims,
@@ -25,7 +23,6 @@ Result<MicroClusterer> MicroClusterer::FromClusters(
         " clusters exceed the budget of " +
         std::to_string(options.num_clusters));
   }
-  out.centroids_.reserve(clusters.size() * num_dims);
   for (size_t c = 0; c < clusters.size(); ++c) {
     const MicroCluster& cluster = clusters[c];
     if (cluster.NumDims() != num_dims) {
@@ -39,30 +36,11 @@ Result<MicroClusterer> MicroClusterer::FromClusters(
           "MicroClusterer::FromClusters: cluster " + std::to_string(c) +
           " is empty");
     }
-    for (size_t j = 0; j < num_dims; ++j) {
-      out.centroids_.push_back(cluster.Centroid(j));
-    }
+    out.centroids_.Append(cluster);
     out.num_points_ += cluster.Count();
   }
   out.clusters_ = std::move(clusters);
   return out;
-}
-
-size_t MicroClusterer::NearestCluster(std::span<const double> values,
-                                      std::span<const double> psi) const {
-  size_t best = 0;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < clusters_.size(); ++c) {
-    const std::span<const double> centroid{centroids_.data() + c * num_dims_,
-                                           num_dims_};
-    const double dist =
-        AssignmentDistanceValue(options_.distance, values, psi, centroid);
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = c;
-    }
-  }
-  return best;
 }
 
 size_t MicroClusterer::Add(std::span<const double> values,
@@ -77,16 +55,13 @@ size_t MicroClusterer::Add(std::span<const double> values,
     MicroCluster cluster(num_dims_);
     cluster.AddPoint(values, psi);
     clusters_.push_back(std::move(cluster));
-    centroids_.insert(centroids_.end(), values.begin(), values.end());
+    centroids_.Append(values);
     return clusters_.size() - 1;
   }
-  const size_t c = NearestCluster(values, psi);
+  distance_evals_ += centroids_.size();
+  const size_t c = centroids_.Nearest(values, psi).index;
   clusters_[c].AddPoint(values, psi);
-  const double n = static_cast<double>(clusters_[c].Count());
-  double* centroid = centroids_.data() + c * num_dims_;
-  for (size_t j = 0; j < num_dims_; ++j) {
-    centroid[j] = clusters_[c].cf1()[j] / n;
-  }
+  centroids_.Set(c, clusters_[c]);
   return c;
 }
 
@@ -99,6 +74,7 @@ Status MicroClusterer::AddDataset(const Dataset& data,
       errors.NumDims() != data.NumDims()) {
     return Status::InvalidArgument("AddDataset: error model shape mismatch");
   }
+  const AssignmentScope charge(distance_evals_);
   for (size_t i = 0; i < data.NumRows(); ++i) {
     Add(data.Row(i), errors.RowPsi(i));
   }
@@ -108,7 +84,7 @@ Status MicroClusterer::AddDataset(const Dataset& data,
 std::vector<MicroCluster> MicroClusterer::TakeClusters() {
   std::vector<MicroCluster> out = std::move(clusters_);
   clusters_.clear();
-  centroids_.clear();
+  centroids_.Clear();
   num_points_ = 0;
   return out;
 }

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "dataset/dataset.h"
 #include "error/error_model.h"
+#include "microcluster/centroid_table.h"
 #include "microcluster/distance.h"
 #include "microcluster/microcluster.h"
 
@@ -24,9 +25,9 @@ namespace udm {
 ///    is reflected in the statistics;
 ///  * centroids are the running CF1x/n means.
 ///
-/// O(q·d) per point; the summary (q clusters) lives in main memory so
-/// densities can later be recomputed over arbitrary subspaces without
-/// another data pass.
+/// O(q·d) per point through the vectorized CentroidTable sweep; the
+/// summary (q clusters) lives in main memory so densities can later be
+/// recomputed over arbitrary subspaces without another data pass.
 class MicroClusterer {
  public:
   struct Options {
@@ -56,7 +57,8 @@ class MicroClusterer {
   size_t Add(std::span<const double> values, std::span<const double> psi);
 
   /// Bulk path: processes every row of `data` with errors from `errors`
-  /// (shapes must match).
+  /// (shapes must match). Charges the call's assignment work once
+  /// (RecordAssignment).
   Status AddDataset(const Dataset& data, const ErrorModel& errors);
 
   /// The current summary. Clusters are non-empty once seeded.
@@ -68,23 +70,27 @@ class MicroClusterer {
   /// Total points processed.
   uint64_t num_points() const { return num_points_; }
 
+  /// Centroid distances evaluated by assignment so far: every point after
+  /// seeding is compared with all q centroids. Bulk callers charge its
+  /// growth across a call through an AssignmentScope.
+  const uint64_t& distance_evals() const { return distance_evals_; }
+
   size_t num_dims() const { return num_dims_; }
 
  private:
   MicroClusterer(size_t num_dims, const Options& options)
-      : num_dims_(num_dims), options_(options) {}
-
-  /// Index of the nearest centroid under the configured distance.
-  size_t NearestCluster(std::span<const double> values,
-                        std::span<const double> psi) const;
+      : num_dims_(num_dims),
+        options_(options),
+        centroids_(num_dims, options.distance) {}
 
   size_t num_dims_;
   Options options_;
   std::vector<MicroCluster> clusters_;
-  /// Cached centroids, row-major (clusters_.size() x num_dims_), kept in
-  /// sync with the CF1x sums so assignment avoids divisions per candidate.
-  std::vector<double> centroids_;
+  /// Cached centroids, one row per cluster, kept in sync with the CF1x
+  /// sums so assignment avoids divisions per candidate.
+  CentroidTable centroids_;
   uint64_t num_points_ = 0;
+  uint64_t distance_evals_ = 0;
 };
 
 /// Convenience: builds the full summary for an uncertain dataset in one

@@ -1,8 +1,7 @@
 #include "microcluster/clustream.h"
 
+#include <algorithm>
 #include <limits>
-
-#include "common/math_util.h"
 
 namespace udm {
 
@@ -23,6 +22,21 @@ Result<CluStreamMaintainer> CluStreamMaintainer::Create(
   return CluStreamMaintainer(num_dims, options);
 }
 
+namespace {
+
+/// Squared Euclidean distance between two centroid rows, in the operation
+/// order of SquaredEuclidean(row a, row b).
+double RowDistance2(const CentroidTable& centroids, size_t a, size_t b) {
+  double sum = 0.0;
+  for (size_t j = 0; j < centroids.num_dims(); ++j) {
+    const double d = centroids.At(a, j) - centroids.At(b, j);
+    sum += d * d;
+  }
+  return sum;
+}
+
+}  // namespace
+
 double CluStreamMaintainer::MaxBoundary2(size_t c) const {
   const MicroCluster& cluster = clusters_[c];
   if (cluster.Count() >= 2) {
@@ -40,23 +54,11 @@ double CluStreamMaintainer::MaxBoundary2(size_t c) const {
   // Singleton (or degenerate) cluster: distance to the nearest other
   // centroid, per CluStream's heuristic.
   double nearest = std::numeric_limits<double>::infinity();
-  const std::span<const double> own{centroids_.data() + c * num_dims_,
-                                    num_dims_};
   for (size_t other = 0; other < clusters_.size(); ++other) {
     if (other == c) continue;
-    const std::span<const double> centroid{
-        centroids_.data() + other * num_dims_, num_dims_};
-    nearest = std::min(nearest, SquaredEuclidean(own, centroid));
+    nearest = std::min(nearest, RowDistance2(centroids_, c, other));
   }
   return nearest;
-}
-
-void CluStreamMaintainer::RefreshCentroid(size_t c) {
-  const double n = static_cast<double>(clusters_[c].Count());
-  double* centroid = centroids_.data() + c * num_dims_;
-  for (size_t j = 0; j < num_dims_; ++j) {
-    centroid[j] = clusters_[c].cf1()[j] / n;
-  }
 }
 
 void CluStreamMaintainer::MergeClosestPair() {
@@ -64,12 +66,8 @@ void CluStreamMaintainer::MergeClosestPair() {
   size_t best_b = 1;
   double best_dist = std::numeric_limits<double>::infinity();
   for (size_t a = 0; a < clusters_.size(); ++a) {
-    const std::span<const double> ca{centroids_.data() + a * num_dims_,
-                                     num_dims_};
     for (size_t b = a + 1; b < clusters_.size(); ++b) {
-      const std::span<const double> cb{centroids_.data() + b * num_dims_,
-                                       num_dims_};
-      const double dist = SquaredEuclidean(ca, cb);
+      const double dist = RowDistance2(centroids_, a, b);
       if (dist < best_dist) {
         best_dist = dist;
         best_a = a;
@@ -78,18 +76,23 @@ void CluStreamMaintainer::MergeClosestPair() {
     }
   }
   clusters_[best_a].Merge(clusters_[best_b]);
-  RefreshCentroid(best_a);
-  // Swap-erase the absorbed cluster and its centroid cache row.
+  centroids_.Set(best_a, clusters_[best_a]);
+  // Swap-erase the absorbed cluster and its centroid row.
   const size_t last = clusters_.size() - 1;
-  if (best_b != last) {
-    clusters_[best_b] = std::move(clusters_[last]);
-    for (size_t j = 0; j < num_dims_; ++j) {
-      centroids_[best_b * num_dims_ + j] = centroids_[last * num_dims_ + j];
-    }
-  }
+  if (best_b != last) clusters_[best_b] = std::move(clusters_[last]);
   clusters_.pop_back();
-  centroids_.resize(clusters_.size() * num_dims_);
+  centroids_.SwapErase(best_b);
   ++num_merges_;
+}
+
+size_t CluStreamMaintainer::Found(std::span<const double> values,
+                                  std::span<const double> psi) {
+  MicroCluster cluster(num_dims_);
+  cluster.AddPoint(values, psi);
+  clusters_.push_back(std::move(cluster));
+  centroids_.Append(values);
+  ++num_creations_;
+  return clusters_.size() - 1;
 }
 
 size_t CluStreamMaintainer::Add(std::span<const double> values,
@@ -98,43 +101,20 @@ size_t CluStreamMaintainer::Add(std::span<const double> values,
   UDM_CHECK(psi.size() == num_dims_) << "Add: psi size";
   ++num_points_;
 
-  if (clusters_.size() < 2) {
-    MicroCluster cluster(num_dims_);
-    cluster.AddPoint(values, psi);
-    clusters_.push_back(std::move(cluster));
-    centroids_.insert(centroids_.end(), values.begin(), values.end());
-    ++num_creations_;
-    return clusters_.size() - 1;
-  }
+  if (clusters_.size() < 2) return Found(values, psi);
 
-  size_t nearest = 0;
-  double nearest_dist = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < clusters_.size(); ++c) {
-    const std::span<const double> centroid{centroids_.data() + c * num_dims_,
-                                           num_dims_};
-    const double dist =
-        AssignmentDistanceValue(options_.distance, values, psi, centroid);
-    if (dist < nearest_dist) {
-      nearest_dist = dist;
-      nearest = c;
-    }
-  }
-
-  if (nearest_dist <= MaxBoundary2(nearest)) {
-    clusters_[nearest].AddPoint(values, psi);
-    RefreshCentroid(nearest);
-    return nearest;
+  distance_evals_ += centroids_.size();
+  const NearestCentroid nearest = centroids_.Nearest(values, psi);
+  if (nearest.distance <= MaxBoundary2(nearest.index)) {
+    clusters_[nearest.index].AddPoint(values, psi);
+    centroids_.Set(nearest.index, clusters_[nearest.index]);
+    return nearest.index;
   }
 
   // The point does not naturally fit: found a new cluster, restoring the
   // budget by merging the closest existing pair first.
   if (clusters_.size() >= options_.num_clusters) MergeClosestPair();
-  MicroCluster cluster(num_dims_);
-  cluster.AddPoint(values, psi);
-  clusters_.push_back(std::move(cluster));
-  centroids_.insert(centroids_.end(), values.begin(), values.end());
-  ++num_creations_;
-  return clusters_.size() - 1;
+  return Found(values, psi);
 }
 
 Status CluStreamMaintainer::AddDataset(const Dataset& data,
@@ -146,6 +126,7 @@ Status CluStreamMaintainer::AddDataset(const Dataset& data,
       errors.NumDims() != data.NumDims()) {
     return Status::InvalidArgument("AddDataset: error model shape mismatch");
   }
+  const AssignmentScope charge(distance_evals_);
   for (size_t i = 0; i < data.NumRows(); ++i) {
     Add(data.Row(i), errors.RowPsi(i));
   }

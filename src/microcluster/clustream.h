@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "dataset/dataset.h"
 #include "error/error_model.h"
+#include "microcluster/centroid_table.h"
 #include "microcluster/distance.h"
 #include "microcluster/microcluster.h"
 
@@ -50,7 +51,8 @@ class CluStreamMaintainer {
   /// (possibly a newly created one).
   size_t Add(std::span<const double> values, std::span<const double> psi);
 
-  /// Bulk path over an uncertain dataset.
+  /// Bulk path over an uncertain dataset. Charges the call's assignment
+  /// sweeps once (RecordAssignment).
   Status AddDataset(const Dataset& data, const ErrorModel& errors);
 
   std::span<const MicroCluster> clusters() const { return clusters_; }
@@ -62,7 +64,9 @@ class CluStreamMaintainer {
 
  private:
   CluStreamMaintainer(size_t num_dims, const Options& options)
-      : num_dims_(num_dims), options_(options) {}
+      : num_dims_(num_dims),
+        options_(options),
+        centroids_(num_dims, options.distance) {}
 
   /// Squared maximum boundary of cluster `c`.
   double MaxBoundary2(size_t c) const;
@@ -70,13 +74,15 @@ class CluStreamMaintainer {
   /// Merges the two closest clusters (centroid distance) to free a slot.
   void MergeClosestPair();
 
-  void RefreshCentroid(size_t c);
+  /// Founds a new cluster at the point; returns its index.
+  size_t Found(std::span<const double> values, std::span<const double> psi);
 
   size_t num_dims_;
   Options options_;
   std::vector<MicroCluster> clusters_;
-  std::vector<double> centroids_;  // row-major cache
+  CentroidTable centroids_;  // one row per cluster
   uint64_t num_points_ = 0;
+  uint64_t distance_evals_ = 0;
   uint64_t num_creations_ = 0;
   uint64_t num_merges_ = 0;
 };

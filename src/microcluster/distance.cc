@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/math_util.h"
 
 namespace udm {
 
@@ -18,19 +17,6 @@ double ErrorAdjustedDistance(std::span<const double> point,
     sum += std::max(0.0, diff * diff - psi[j] * psi[j]);
   }
   return sum;
-}
-
-double AssignmentDistanceValue(AssignmentDistance distance,
-                               std::span<const double> point,
-                               std::span<const double> psi,
-                               std::span<const double> centroid) {
-  switch (distance) {
-    case AssignmentDistance::kErrorAdjusted:
-      return ErrorAdjustedDistance(point, psi, centroid);
-    case AssignmentDistance::kEuclidean:
-      return SquaredEuclidean(point, centroid);
-  }
-  return 0.0;
 }
 
 }  // namespace udm

@@ -22,15 +22,13 @@ enum class AssignmentDistance {
 /// Dimensions whose displacement is within the point's own error contribute
 /// nothing — the "best-case" reading the paper motivates with Figure 2
 /// (a point is assigned where its error ellipse could have placed it).
+///
+/// This is the scalar reference: assignment itself runs through the
+/// vectorized CentroidTable sweep (centroid_table.h), which reproduces this
+/// function's rounding bit for bit at every SIMD level.
 double ErrorAdjustedDistance(std::span<const double> point,
                              std::span<const double> psi,
                              std::span<const double> centroid);
-
-/// Dispatches on `distance`; `psi` is ignored for kEuclidean.
-double AssignmentDistanceValue(AssignmentDistance distance,
-                               std::span<const double> point,
-                               std::span<const double> psi,
-                               std::span<const double> centroid);
 
 }  // namespace udm
 

@@ -1,37 +1,13 @@
 #include "microcluster/merge.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <string>
 
-#include "microcluster/distance.h"
+#include "common/stopwatch.h"
+#include "microcluster/centroid_table.h"
 
 namespace udm {
-
-namespace {
-
-/// Pseudo-point view of a cluster: centroid and per-dimension error width
-/// Δ_j(C) (Lemma 1), the inputs the assignment distance needs.
-struct PseudoPoint {
-  std::vector<double> centroid;
-  std::vector<double> delta;
-};
-
-PseudoPoint MakePseudoPoint(const MicroCluster& cluster) {
-  PseudoPoint p;
-  const size_t d = cluster.NumDims();
-  p.centroid.resize(d);
-  p.delta.resize(d);
-  for (size_t j = 0; j < d; ++j) {
-    p.centroid[j] = cluster.Centroid(j);
-    p.delta[j] = cluster.DeltaAt(j);
-  }
-  return p;
-}
-
-}  // namespace
 
 Result<std::vector<MicroCluster>> MergeSummaries(
     std::span<const SummaryView> summaries, size_t num_dims,
@@ -81,38 +57,25 @@ Result<std::vector<MicroCluster>> MergeSummaries(
   });
 
   merged.reserve(q);
-  std::vector<double> centroids;
-  centroids.reserve(q * num_dims);
+  CentroidTable centroids(num_dims, options.distance);
   for (size_t i = 0; i < q; ++i) {
-    const MicroCluster& seed = *inputs[order[i]];
-    merged.push_back(seed);
-    for (size_t j = 0; j < num_dims; ++j) {
-      centroids.push_back(seed.Centroid(j));
-    }
+    merged.push_back(*inputs[order[i]]);
+    centroids.Append(merged.back());
   }
+  const Stopwatch watch;
+  std::vector<double> centroid(num_dims);
+  std::vector<double> delta(num_dims);
   for (size_t i = q; i < order.size(); ++i) {
     const MicroCluster& cluster = *inputs[order[i]];
-    const PseudoPoint p = MakePseudoPoint(cluster);
-    size_t best = 0;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < merged.size(); ++c) {
-      const std::span<const double> centroid{
-          centroids.data() + c * num_dims, num_dims};
-      const double dist = AssignmentDistanceValue(options.distance,
-                                                  p.centroid, p.delta,
-                                                  centroid);
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = c;
-      }
-    }
-    merged[best].Merge(cluster);
-    const double n = static_cast<double>(merged[best].Count());
-    double* centroid = centroids.data() + best * num_dims;
     for (size_t j = 0; j < num_dims; ++j) {
-      centroid[j] = merged[best].cf1()[j] / n;
+      centroid[j] = cluster.Centroid(j);
+      delta[j] = cluster.DeltaAt(j);
     }
+    const size_t best = centroids.Nearest(centroid, delta).index;
+    merged[best].Merge(cluster);
+    centroids.Set(best, merged[best]);
   }
+  RecordAssignment((order.size() - q) * q, watch.ElapsedSeconds());
   return merged;
 }
 

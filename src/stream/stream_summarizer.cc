@@ -259,6 +259,7 @@ Result<BatchIngestResult> StreamSummarizer::IngestBatch(
 
   UDM_TRACE_SPAN("stream.ingest_batch");
   Stopwatch batch_watch;
+  const AssignmentScope charge(clusterer_.distance_evals());
   BatchIngestResult out;
   for (const RecordView& record : records) {
     Status boundary = ctx.ChargeBytes(

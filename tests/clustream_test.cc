@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "dataset/synthetic.h"
 #include "error/perturbation.h"
+#include "golden_digest.h"
 #include "microcluster/mc_density.h"
 
 namespace udm {
@@ -138,6 +139,30 @@ TEST(CluStreamTest, AddDatasetValidatesShapes) {
   spec.seed = 42;
   const Dataset d = MakeMixtureDataset(spec, 10).value();
   EXPECT_FALSE(maintainer.AddDataset(d, ErrorModel::Zero(9, 2)).ok());
+}
+
+// Golden byte identity (DESIGN.md §4k): the CluStream baseline's clusters,
+// creations and merges match the recorded digests at every SIMD level.
+TEST(CluStreamGoldenTest, ClustersAreByteIdentical) {
+  if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
+  const UncertainDataset u = golden::ForestLike(3000);
+  for (const AssignmentDistance distance :
+       {AssignmentDistance::kErrorAdjusted, AssignmentDistance::kEuclidean}) {
+    CluStreamMaintainer::Options options;
+    options.num_clusters = 50;
+    options.distance = distance;
+    CluStreamMaintainer maintainer =
+        CluStreamMaintainer::Create(u.data.NumDims(), options).value();
+    ASSERT_TRUE(maintainer.AddDataset(u.data, u.errors).ok());
+    golden::Digest digest;
+    digest.Clusters(maintainer.clusters());
+    digest.U64(maintainer.num_creations());
+    digest.U64(maintainer.num_merges());
+    const char* want = distance == AssignmentDistance::kErrorAdjusted
+                           ? "0x0dc75b3fcfadbb70"
+                           : "0xaac3644fe5b2728f";
+    EXPECT_EQ(golden::Hex(digest.value()), want);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "golden_digest.h"
 
 namespace udm {
 namespace {
@@ -153,6 +154,29 @@ TEST_P(EkmeansKSweep, AssignmentsInRange) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, EkmeansKSweep,
                          ::testing::Values(1u, 2u, 3u, 5u, 10u));
+
+// Golden byte identity (DESIGN.md §4k): assignments, centroids, inertia and
+// iteration count match the recorded digests at every SIMD level.
+TEST(EkmeansGoldenTest, AssignmentsAndCentroidsAreByteIdentical) {
+  if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
+  const UncertainDataset u = golden::ForestLike(2000);
+  for (const AssignmentDistance distance :
+       {AssignmentDistance::kErrorAdjusted, AssignmentDistance::kEuclidean}) {
+    ErrorKMeansOptions options;
+    options.k = 7;
+    options.distance = distance;
+    const KMeansResult result = ErrorKMeans(u.data, u.errors, options).value();
+    golden::Digest digest;
+    for (int a : result.assignments) digest.U64(static_cast<uint64_t>(a));
+    digest.Doubles(result.centroids);
+    digest.Double(result.inertia);
+    digest.U64(result.iterations);
+    const char* want = distance == AssignmentDistance::kErrorAdjusted
+                           ? "0x286e4470e8aa4c9d"
+                           : "0x8611a93275d7ae6b";
+    EXPECT_EQ(golden::Hex(digest.value()), want);
+  }
+}
 
 }  // namespace
 }  // namespace udm

@@ -2,12 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <numeric>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "golden_digest.h"
 #include "microcluster/serialize.h"
+#include "stream/sharded_summarizer.h"
 
 namespace udm {
 namespace {
@@ -266,6 +275,103 @@ TEST(MergeSummariesTest, MergedSummarySerializesAndRoundTrips) {
   for (size_t c = 0; c < merged.size(); ++c) {
     ExpectSameTuple(loaded[c], merged[c]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden byte identity (DESIGN.md §4k): over-budget absorption, a 4-shard
+// checkpoint's bytes and the merged shard output match the recorded digests
+// at every SIMD level.
+// ---------------------------------------------------------------------------
+
+TEST(MergeGoldenTest, OverBudgetMergeIsByteIdentical) {
+  if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
+  const UncertainDataset u = golden::ForestLike(4000);
+  constexpr size_t kParts = 4;
+  std::vector<std::vector<MicroCluster>> parts;
+  const size_t rows_per_part = u.data.NumRows() / kParts;
+  for (size_t p = 0; p < kParts; ++p) {
+    std::vector<size_t> rows(rows_per_part);
+    std::iota(rows.begin(), rows.end(), p * rows_per_part);
+    MicroClusterer::Options local;
+    local.num_clusters = 60;
+    parts.push_back(BuildMicroClusters(u.data.Select(rows),
+                                       u.errors.Select(rows), local)
+                        .value());
+  }
+  const std::vector<SummaryView> views(parts.begin(), parts.end());
+  for (const AssignmentDistance distance :
+       {AssignmentDistance::kErrorAdjusted, AssignmentDistance::kEuclidean}) {
+    MicroClusterer::Options options;
+    options.num_clusters = 100;
+    options.distance = distance;
+    golden::Digest digest;
+    digest.Clusters(
+        MergeSummaries(views, u.data.NumDims(), options).value());
+    const char* want = distance == AssignmentDistance::kErrorAdjusted
+                           ? "0x949456c023b8e680"
+                           : "0x2ab86ee14ca04f8a";
+    EXPECT_EQ(golden::Hex(digest.value()), want);
+  }
+}
+
+TEST(MergeGoldenTest, ShardedCheckpointAndMergedOutputAreByteIdentical) {
+  if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
+  namespace fs = std::filesystem;
+  const UncertainDataset u = golden::ForestLike(4000);
+  // Per-process directory: the SIMD-level variants of this suite run
+  // concurrently under ctest -j.
+  const std::string dir = ::testing::TempDir() + "/merge_golden_shards_" +
+                          std::to_string(::getpid());
+  fs::remove_all(dir);
+  ShardedSummarizerOptions options;
+  options.num_shards = 4;
+  options.shard_options.num_clusters = 40;
+  options.merged_clusters = 60;
+  options.checkpoint_dir = dir;
+  options.checkpoint_every = 0;
+  ShardedSummarizer sharded =
+      ShardedSummarizer::Create(u.data.NumDims(), options).value();
+  std::vector<RecordView> records;
+  for (size_t i = 0; i < u.data.NumRows(); ++i) {
+    records.push_back({u.data.Row(i), u.errors.RowPsi(i), i + 1});
+  }
+  const std::span<const RecordView> all(records);
+  for (size_t first = 0; first < all.size(); first += 32) {
+    ExecContext ctx;
+    const size_t n = std::min<size_t>(32, all.size() - first);
+    const Result<ShardedIngestResult> result =
+        sharded.IngestBatch(all.subspan(first, n), ctx);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->consumed, n);
+  }
+  ASSERT_TRUE(sharded.CheckpointAll().ok());
+
+  std::vector<std::string> files;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files.push_back(fs::relative(entry.path(), dir).string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_EQ(files.size(), 4u);
+  golden::Digest checkpoint;
+  for (const std::string& name : files) {
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    checkpoint.Bytes(name.data(), name.size());
+    checkpoint.Bytes(bytes.data(), bytes.size());
+  }
+  EXPECT_EQ(golden::Hex(checkpoint.value()), "0xecb1d6d05c09a7ee");
+
+  ExecContext ctx;
+  const MergeResult merged = sharded.MergedSummary(ctx);
+  ASSERT_TRUE(merged.complete());
+  golden::Digest output;
+  output.Clusters(merged.clusters);
+  EXPECT_EQ(golden::Hex(output.value()), "0x34bd2f74138ba6fe");
+  fs::remove_all(dir);
 }
 
 }  // namespace

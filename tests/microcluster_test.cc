@@ -9,6 +9,9 @@
 #include "common/random.h"
 #include "dataset/synthetic.h"
 #include "error/perturbation.h"
+#include "golden_digest.h"
+#include "microcluster/centroid_table.h"
+#include "microcluster/clusterer.h"
 #include "microcluster/distance.h"
 
 namespace udm {
@@ -187,11 +190,12 @@ TEST(DistanceTest, DispatchMatchesEnums) {
   const std::vector<double> y{3.0};
   const std::vector<double> c{0.0};
   const std::vector<double> psi{2.0};
-  EXPECT_DOUBLE_EQ(AssignmentDistanceValue(AssignmentDistance::kErrorAdjusted,
-                                           y, psi, c),
-                   5.0);
-  EXPECT_DOUBLE_EQ(
-      AssignmentDistanceValue(AssignmentDistance::kEuclidean, y, psi, c), 9.0);
+  CentroidTable adjusted(1, AssignmentDistance::kErrorAdjusted);
+  adjusted.Append(c);
+  EXPECT_DOUBLE_EQ(adjusted.Nearest(y, psi).distance, 5.0);
+  CentroidTable euclidean(1, AssignmentDistance::kEuclidean);
+  euclidean.Append(c);
+  EXPECT_DOUBLE_EQ(euclidean.Nearest(y, psi).distance, 9.0);
 }
 
 TEST(DistanceTest, Figure2Scenario) {
@@ -206,6 +210,34 @@ TEST(DistanceTest, Figure2Scenario) {
   EXPECT_LT(SquaredEuclidean(x, centroid2), SquaredEuclidean(x, centroid1));
   EXPECT_LT(ErrorAdjustedDistance(x, psi, centroid1),
             ErrorAdjustedDistance(x, psi, centroid2));
+}
+
+// ---------------------------------------------------------------------------
+// Golden byte identity (DESIGN.md §4k): the summaries the Eq. 5 assignment
+// builds match the recorded digests at every SIMD level.
+// ---------------------------------------------------------------------------
+
+TEST(AssignmentGoldenTest, BuildMicroClustersSummariesAreByteIdentical) {
+  if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
+  const UncertainDataset u = golden::ForestLike(5000);
+  golden::Digest global;
+  global.Clusters(BuildMicroClusters(u.data, u.errors).value());
+  EXPECT_EQ(golden::Hex(global.value()), "0x726f8d89e89ad477");
+
+  golden::Digest per_class;
+  for (size_t c = 0; c < u.data.NumClasses(); ++c) {
+    const std::vector<size_t> rows = u.data.IndicesOfLabel(static_cast<int>(c));
+    per_class.Clusters(
+        BuildMicroClusters(u.data.Select(rows), u.errors.Select(rows))
+            .value());
+  }
+  EXPECT_EQ(golden::Hex(per_class.value()), "0xc68390323b500749");
+
+  MicroClusterer::Options euclidean;
+  euclidean.distance = AssignmentDistance::kEuclidean;
+  golden::Digest plain;
+  plain.Clusters(BuildMicroClusters(u.data, u.errors, euclidean).value());
+  EXPECT_EQ(golden::Hex(plain.value()), "0xf2badeb0e2f92119");
 }
 
 }  // namespace
