@@ -2,8 +2,8 @@
 //
 // Figure 1 — a test point X between training points Y (exact, near) and
 // Z (farther but with a large error along dimension 0): plain NN picks Y,
-// the error-aware variant picks Z, and the error-adjusted density field
-// shows why (Z's mass reaches X).
+// the same NN trained with the error table picks Z, and the error-adjusted
+// density field shows why (Z's mass reaches X).
 //
 // Figure 2 — a point whose error ellipse is skewed toward centroid 1 even
 // though centroid 2 is Euclidean-nearer: the error-adjusted distance
@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "classify/error_nn_classifier.h"
 #include "classify/nn_classifier.h"
 #include "dataset/dataset.h"
 #include "error/error_model.h"
@@ -33,8 +32,7 @@ int main() {
 
   const std::vector<double> x{0.0, 0.0};
   const auto plain = udm::NnClassifier::Train(train).value();
-  const auto aware =
-      udm::ErrorAwareNnClassifier::Train(train, errors).value();
+  const auto aware = udm::NnClassifier::Train(train, errors).value();
   std::printf("  plain NN picks class %d (Y), error-aware NN picks class "
               "%d (Z)\n",
               plain.Predict(x).value(), aware.Predict(x).value());

@@ -8,81 +8,48 @@ namespace udm {
 
 Result<DensityBasedClassifier> DensityBasedClassifier::Train(
     const Dataset& data, const ErrorModel& errors, const Options& options) {
-  if (data.NumRows() == 0) {
-    return Status::InvalidArgument("DensityBasedClassifier: empty dataset");
-  }
-  if (errors.NumRows() != data.NumRows() ||
-      errors.NumDims() != data.NumDims()) {
-    return Status::InvalidArgument(
-        "DensityBasedClassifier: error model shape mismatch");
-  }
   if (options.accuracy_threshold <= 0.0) {
     return Status::InvalidArgument(
         "DensityBasedClassifier: accuracy_threshold must be > 0");
   }
-  const size_t k = data.NumClasses();
-  if (k < 2) {
-    return Status::InvalidArgument(
-        "DensityBasedClassifier: need at least two classes");
-  }
-
   MicroClusterer::Options mc_options;
   mc_options.num_clusters = options.num_clusters;
   mc_options.distance = options.distance;
 
-  // Summaries are built separately for D and for each D_i (§3); this is the
+  // Summaries are built separately for each D_i and for D (§3); this is the
   // entire preprocessing step.
+  UDM_ASSIGN_OR_RETURN(std::vector<McDensityModel> class_models,
+                       TrainClassModels(data, errors, mc_options,
+                                        options.density,
+                                        "DensityBasedClassifier"));
   UDM_ASSIGN_OR_RETURN(std::vector<MicroCluster> global_summary,
                        BuildMicroClusters(data, errors, mc_options));
   UDM_ASSIGN_OR_RETURN(McDensityModel global_model,
                        McDensityModel::Build(global_summary, options.density));
 
-  std::vector<McDensityModel> class_models;
-  std::vector<size_t> class_counts(k, 0);
-  class_models.reserve(k);
-  for (size_t c = 0; c < k; ++c) {
-    const std::vector<size_t> indices =
-        data.IndicesOfLabel(static_cast<int>(c));
-    if (indices.empty()) {
-      return Status::InvalidArgument(
-          "DensityBasedClassifier: class " + std::to_string(c) +
-          " has no training rows (labels must be dense)");
-    }
-    class_counts[c] = indices.size();
-    const Dataset subset = data.Select(indices);
-    const ErrorModel subset_errors = errors.Select(indices);
-    UDM_ASSIGN_OR_RETURN(std::vector<MicroCluster> summary,
-                         BuildMicroClusters(subset, subset_errors, mc_options));
-    UDM_ASSIGN_OR_RETURN(McDensityModel model,
-                         McDensityModel::Build(summary, options.density));
-    class_models.push_back(std::move(model));
-  }
-
   const std::string name =
       errors.IsZero() ? "density_no_adjust" : "density_error_adjusted";
   return DensityBasedClassifier(std::move(class_models),
-                                std::move(global_model),
-                                std::move(class_counts), data.NumDims(),
+                                std::move(global_model), data.NumDims(),
                                 options, name);
+}
+
+double DensityBasedClassifier::LogAccuracy(size_t c, double log_class,
+                                           double log_global) const {
+  // log A(x,S,l_c) = log|D_c| + log g(x,S,D_c) − log|D| − log g(x,S,D).
+  return log_counts_[c] + log_class - log_total_ - log_global;
 }
 
 DensityBasedClassifier::SubspaceScore DensityBasedClassifier::ScoreSubspace(
     std::span<const double> x, std::span<const size_t> dims) const {
   const double log_global = global_model_.LogEvaluateSubspace(x, dims);
-  const double log_total =
-      std::log(static_cast<double>(global_model_.total_count()));
   SubspaceScore best;
-  bool first = true;
   for (size_t c = 0; c < class_models_.size(); ++c) {
-    const double log_class = class_models_[c].LogEvaluateSubspace(x, dims);
-    // log A(x,S,l_c) = log|D_c| + log g(x,S,D_c) − log|D| − log g(x,S,D).
-    const double log_acc =
-        std::log(static_cast<double>(class_counts_[c])) + log_class -
-        log_total - log_global;
-    if (first || log_acc > best.log_accuracy) {
+    const double log_acc = LogAccuracy(
+        c, class_models_[c].LogEvaluateSubspace(x, dims), log_global);
+    if (c == 0 || log_acc > best.log_accuracy) {
       best.label = static_cast<int>(c);
       best.log_accuracy = log_acc;
-      first = false;
     }
   }
   return best;
@@ -92,13 +59,31 @@ double DensityBasedClassifier::LogLocalAccuracy(
     std::span<const double> x, std::span<const size_t> dims, int label) const {
   UDM_CHECK(label >= 0 && static_cast<size_t>(label) < class_models_.size())
       << "LogLocalAccuracy: label out of range";
+  const size_t c = static_cast<size_t>(label);
   const double log_global = global_model_.LogEvaluateSubspace(x, dims);
-  const double log_total =
-      std::log(static_cast<double>(global_model_.total_count()));
-  const double log_class =
-      class_models_[static_cast<size_t>(label)].LogEvaluateSubspace(x, dims);
-  return std::log(static_cast<double>(class_counts_[label])) + log_class -
-         log_total - log_global;
+  return LogAccuracy(c, class_models_[c].LogEvaluateSubspace(x, dims),
+                     log_global);
+}
+
+Result<int> DensityBasedClassifier::PredictBayes(
+    std::span<const double> x) const {
+  if (x.size() != num_dims_) {
+    return Status::InvalidArgument(
+        "DensityBasedClassifier: point dimension mismatch");
+  }
+  std::vector<size_t> all_dims(num_dims_);
+  for (size_t j = 0; j < num_dims_; ++j) all_dims[j] = j;
+  int best = 0;
+  double best_score = 0.0;
+  for (size_t c = 0; c < class_models_.size(); ++c) {
+    const double score =
+        log_counts_[c] + class_models_[c].LogEvaluateSubspace(x, all_dims);
+    if (c == 0 || score > best_score) {
+      best = static_cast<int>(c);
+      best_score = score;
+    }
+  }
+  return best;
 }
 
 Result<int> DensityBasedClassifier::Predict(std::span<const double> x) const {
@@ -139,11 +124,13 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
   };
 
   // Kernel-eval cost of scoring one subspace dimension: every pseudo-point
-  // in the global model plus every class model contributes one term.
-  size_t pseudo_per_dim = global_model_.num_clusters();
+  // in the class models plus the global model contributes one term.
+  size_t class_pseudo_per_dim = 0;
   for (const McDensityModel& model : class_models_) {
-    pseudo_per_dim += model.num_clusters();
+    class_pseudo_per_dim += model.num_clusters();
   }
+  const size_t pseudo_per_dim =
+      class_pseudo_per_dim + global_model_.num_clusters();
 
   // The roll-up is an anytime algorithm: a deadline/budget violation at a
   // subspace boundary stops expansion and the prediction is made from the
@@ -217,14 +204,12 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
   Explanation explanation;
   explanation.stop_cause = stop;
   if (qualifying.empty()) {
-    // Fallback (paper unspecified): dominant class over all dimensions.
-    // Runs even after a deadline/budget stop so every query yields a
-    // prediction; the charge is recorded but cannot fail the query.
-    std::vector<size_t> all(num_dims_);
-    for (size_t j = 0; j < num_dims_; ++j) all[j] = j;
-    (void)ctx.ChargeKernelEvals(num_dims_ * pseudo_per_dim);
-    const SubspaceScore score = ScoreSubspace(x, all);
-    explanation.predicted = score.label;
+    // Fallback (paper unspecified): the Bayes rule over all dimensions,
+    // which reads only the class models. Runs even after a deadline/budget
+    // stop so every query yields a prediction; the charge is recorded but
+    // cannot fail the query.
+    (void)ctx.ChargeKernelEvals(num_dims_ * class_pseudo_per_dim);
+    UDM_ASSIGN_OR_RETURN(explanation.predicted, PredictBayes(x));
     explanation.used_fallback = true;
     return explanation;
   }

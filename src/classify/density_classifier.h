@@ -1,17 +1,19 @@
 #ifndef UDM_CLASSIFY_DENSITY_CLASSIFIER_H_
 #define UDM_CLASSIFY_DENSITY_CLASSIFIER_H_
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "classify/class_models.h"
 #include "classify/classifier.h"
 #include "common/exec_context.h"
 #include "common/result.h"
 #include "dataset/dataset.h"
 #include "error/error_model.h"
-#include "kde/error_kde.h"
+#include "kde/eval.h"
 #include "microcluster/clusterer.h"
 #include "microcluster/mc_density.h"
 
@@ -35,8 +37,10 @@ namespace udm {
 ///      do not overlap previously selected ones (at most p when p > 0).
 ///   4. Report the majority dominant class (Eq. 12) among the selected
 ///      subspaces; ties go to the subspace ranked higher. When no subspace
-///      beats the threshold, fall back to the dominant class over the full
-///      dimensionality (the paper leaves this case unspecified).
+///      beats the threshold (the paper leaves this case unspecified), fall
+///      back to the dominant class over the full dimensionality. Over all
+///      dimensions the global term of Eq. 11 is the same for every class,
+///      so the fallback is the Bayes rule PredictBayes.
 ///
 /// The "no error adjustment" comparator of §4 is this same class trained
 /// with `ErrorModel::Zero` — every formula degrades to its classical form.
@@ -91,8 +95,9 @@ class DensityBasedClassifier : public Classifier {
     StopCause stop_cause = StopCause::kCompleted;
   };
 
-  /// Trains from labeled uncertain data: `errors` must match `data`'s
-  /// shape; labels must be dense in [0, k) with k >= 2.
+  /// Trains from labeled uncertain data (validated by TrainClassModels:
+  /// `errors` must match `data`'s shape; labels must be dense in [0, k)
+  /// with k >= 2).
   static Result<DensityBasedClassifier> Train(const Dataset& data,
                                               const ErrorModel& errors,
                                               const Options& options);
@@ -116,7 +121,13 @@ class DensityBasedClassifier : public Classifier {
                               ExecContext& ctx) const;
   Result<int> Predict(std::span<const double> x, ExecContext& ctx) const;
 
-  size_t NumClasses() const override { return class_counts_.size(); }
+  /// The full-dimensional Bayes rule, argmax_c log|D_c| + log g(x, D_c)
+  /// over the class models (ties go to the lower label): the roll-up's
+  /// fallback, and on its own the roll-up's ablation baseline. Reads the
+  /// k class models, not the global one.
+  Result<int> PredictBayes(std::span<const double> x) const;
+
+  size_t NumClasses() const override { return class_models_.size(); }
   std::string Name() const override { return name_; }
 
   size_t num_dims() const { return num_dims_; }
@@ -129,15 +140,18 @@ class DensityBasedClassifier : public Classifier {
 
  private:
   DensityBasedClassifier(std::vector<McDensityModel> class_models,
-                         McDensityModel global_model,
-                         std::vector<size_t> class_counts, size_t num_dims,
+                         McDensityModel global_model, size_t num_dims,
                          Options options, std::string name)
       : class_models_(std::move(class_models)),
         global_model_(std::move(global_model)),
-        class_counts_(std::move(class_counts)),
+        log_total_(std::log(static_cast<double>(global_model_.total_count()))),
         num_dims_(num_dims),
         options_(std::move(options)),
-        name_(std::move(name)) {}
+        name_(std::move(name)) {
+    for (const McDensityModel& model : class_models_) {
+      log_counts_.push_back(std::log(static_cast<double>(model.total_count())));
+    }
+  }
 
   /// Best class and its log-accuracy for subspace S at x.
   struct SubspaceScore {
@@ -147,9 +161,14 @@ class DensityBasedClassifier : public Classifier {
   SubspaceScore ScoreSubspace(std::span<const double> x,
                               std::span<const size_t> dims) const;
 
+  /// log A(x, S, l_c) of Eq. 11 from the class and global log-densities
+  /// at (x, S).
+  double LogAccuracy(size_t c, double log_class, double log_global) const;
+
   std::vector<McDensityModel> class_models_;  // one per class, index = label
   McDensityModel global_model_;               // over all of D
-  std::vector<size_t> class_counts_;          // |D_i|
+  std::vector<double> log_counts_;            // log|D_c|
+  double log_total_;                          // log|D|
   size_t num_dims_;
   Options options_;
   std::string name_;

@@ -186,17 +186,6 @@ void SpatialIndex::ComputeCellBounds(std::span<const double> x,
   }
 }
 
-std::vector<double> GatherRows(std::span<const double> rows,
-                               size_t num_points, size_t num_dims,
-                               std::span<const size_t> perm) {
-  std::vector<double> out(rows.size());
-  for (size_t i = 0; i < num_points; ++i) {
-    const double* src = rows.data() + perm[i] * num_dims;
-    std::copy(src, src + num_dims, out.data() + i * num_dims);
-  }
-  return out;
-}
-
 std::vector<double> Gather(std::span<const double> values,
                            std::span<const size_t> perm) {
   std::vector<double> out(values.size());

@@ -110,12 +110,8 @@ class SpatialIndex {
   std::vector<double> max_seed_;  // per-cell max log_seed (zeros if none)
 };
 
-/// Gathers per-summand arrays into a permutation's order (out[i] =
-/// in[perm[i]]): one row-major matrix and one flat vector variant, for
-/// re-packing model storage after Build.
-std::vector<double> GatherRows(std::span<const double> rows,
-                               size_t num_points, size_t num_dims,
-                               std::span<const size_t> perm);
+/// Gathers a per-summand array into a permutation's order (out[i] =
+/// in[perm[i]]), for re-packing model storage after Build.
 std::vector<double> Gather(std::span<const double> values,
                            std::span<const size_t> perm);
 

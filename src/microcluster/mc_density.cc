@@ -63,15 +63,13 @@ Result<McDensityModel> McDensityModel::Build(
       kde_internal::ErrorKernelTable::Build(centroids, deltas, m, d,
                                             bandwidths, options.normalization),
       std::move(log_weights), /*divisor=*/1.0, bandwidths, options);
-  // Keep the public accessors in the table's (cell-contiguous) order.
+  // Keep weights() in the table's (cell-contiguous) order.
   if (const std::span<const size_t> perm = engine.permutation();
       !perm.empty()) {
-    centroids = kde_internal::GatherRows(centroids, m, d, perm);
     weights = kde_internal::Gather(weights, perm);
   }
-  return McDensityModel(std::move(centroids), std::move(weights),
-                        agg.total_count, std::move(bandwidths),
-                        std::move(engine));
+  return McDensityModel(std::move(weights), agg.total_count,
+                        std::move(bandwidths), std::move(engine));
 }
 
 double McDensityModel::Evaluate(std::span<const double> x) const {

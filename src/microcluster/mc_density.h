@@ -69,14 +69,8 @@ class McDensityModel {
   /// Per-dimension Silverman bandwidths recovered from the summary.
   const std::vector<double>& bandwidths() const { return bandwidths_; }
 
-  /// Pseudo-point centroids, row-major num_clusters() x num_dims(). The
-  /// model's mass concentrates at these points — useful as probe locations
-  /// for drift scoring and diagnostics. When a spatial index was built the
-  /// clusters are stored in its cell-contiguous order (centroids() and
-  /// weights() stay pairwise aligned, but not in Build input order).
-  std::span<const double> centroids() const { return centroids_; }
-
-  /// Per-cluster weights n(C)/N, aligned with centroids().
+  /// Per-cluster weights n(C)/N. When a spatial index was built they are
+  /// stored in its cell-contiguous order, not in Build input order.
   std::span<const double> weights() const { return weights_; }
 
   /// Whether Build built a spatial index (IndexMode::kForce succeeds).
@@ -85,16 +79,14 @@ class McDensityModel {
   size_t index_cells() const { return engine_.index_cells(); }
 
  private:
-  McDensityModel(std::vector<double> centroids, std::vector<double> weights,
-                 uint64_t total_count, std::vector<double> bandwidths,
+  McDensityModel(std::vector<double> weights, uint64_t total_count,
+                 std::vector<double> bandwidths,
                  kde_internal::SummandDensity engine)
-      : centroids_(std::move(centroids)),
-        weights_(std::move(weights)),
+      : weights_(std::move(weights)),
         total_count_(total_count),
         bandwidths_(std::move(bandwidths)),
         engine_(std::move(engine)) {}
 
-  std::vector<double> centroids_;  // row-major m x d (public accessor)
   std::vector<double> weights_;    // n(C)/N per cluster
   uint64_t total_count_;
   std::vector<double> bandwidths_;

@@ -65,39 +65,6 @@ void MicroCluster::Merge(const MicroCluster& other) {
   count_ += other.count_;
 }
 
-Result<MicroCluster> MicroCluster::Subtract(const MicroCluster& other) const {
-  if (other.NumDims() != NumDims()) {
-    return Status::InvalidArgument("Subtract: dimension mismatch");
-  }
-  if (other.count_ > count_) {
-    return Status::InvalidArgument("Subtract: other has more points");
-  }
-  MicroCluster out(NumDims());
-  out.count_ = count_ - other.count_;
-  for (size_t j = 0; j < NumDims(); ++j) {
-    out.cf1_[j] = cf1_[j] - other.cf1_[j];
-    out.cf2_[j] = cf2_[j] - other.cf2_[j];
-    out.ef2_[j] = ef2_[j] - other.ef2_[j];
-    // CF2/EF2 are sums of squares: a materially negative remainder means
-    // `other` was not a subset of this cluster.
-    const double tol = 1e-9 * (1.0 + cf2_[j]);
-    if (out.cf2_[j] < -tol || out.ef2_[j] < -tol) {
-      return Status::InvalidArgument(
-          "Subtract: other is not a subset of this cluster");
-    }
-    out.cf2_[j] = std::max(out.cf2_[j], 0.0);
-    out.ef2_[j] = std::max(out.ef2_[j], 0.0);
-  }
-  if (out.count_ == 0) {
-    for (size_t j = 0; j < NumDims(); ++j) {
-      out.cf1_[j] = 0.0;
-      out.cf2_[j] = 0.0;
-      out.ef2_[j] = 0.0;
-    }
-  }
-  return out;
-}
-
 std::vector<double> MicroCluster::CentroidVector() const {
   UDM_DCHECK(!IsEmpty());
   std::vector<double> centroid(NumDims());

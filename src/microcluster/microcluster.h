@@ -55,14 +55,6 @@ class MicroCluster {
   /// Absorbs another cluster (the additivity property).
   void Merge(const MicroCluster& other);
 
-  /// The subtractive counterpart of Merge: returns this − other, i.e. the
-  /// statistics of the points present here but not in `other`. Valid when
-  /// `other` summarizes a *subset* of this cluster's points (CluStream's
-  /// snapshot algebra: current − old snapshot = the recent horizon).
-  /// Fails if the tuples are inconsistent (other.Count() > Count(), or a
-  /// CF2/EF2 entry would go negative beyond rounding).
-  Result<MicroCluster> Subtract(const MicroCluster& other) const;
-
   /// Centroid coordinate along `dim`: CF1x_j / n. Requires non-empty.
   double Centroid(size_t dim) const {
     UDM_DCHECK(!IsEmpty() && dim < NumDims());

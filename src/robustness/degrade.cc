@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "classify/class_models.h"
 #include "microcluster/clusterer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -102,55 +103,30 @@ std::string DegradationReport::ToString() const {
 
 Result<DegradingClassifier> DegradingClassifier::Train(
     const Dataset& data, const ErrorModel& errors, const Options& options) {
-  if (data.NumRows() == 0) {
-    return Status::InvalidArgument("DegradingClassifier: empty dataset");
-  }
-  if (errors.NumRows() != data.NumRows() ||
-      errors.NumDims() != data.NumDims()) {
-    return Status::InvalidArgument(
-        "DegradingClassifier: error model shape mismatch");
-  }
-  const size_t k = data.NumClasses();
-  if (k < 2) {
-    return Status::InvalidArgument(
-        "DegradingClassifier: need at least two classes");
-  }
-
   MicroClusterer::Options mc_options;
   mc_options.num_clusters = options.num_clusters;
 
+  // The exact rung's per-class error KDEs are fitted on the same class
+  // split that the micro rung's summaries are built from.
   std::vector<ErrorKernelDensity> exact_models;
-  std::vector<McDensityModel> micro_models;
-  std::vector<size_t> class_counts(k, 0);
-  std::vector<double> log_priors(k, 0.0);
-  exact_models.reserve(k);
-  micro_models.reserve(k);
-  for (size_t c = 0; c < k; ++c) {
-    const std::vector<size_t> indices =
-        data.IndicesOfLabel(static_cast<int>(c));
-    if (indices.empty()) {
-      return Status::InvalidArgument(
-          "DegradingClassifier: class " + std::to_string(c) +
-          " has no training rows (labels must be dense)");
-    }
-    class_counts[c] = indices.size();
-    log_priors[c] = std::log(static_cast<double>(indices.size()) /
-                             static_cast<double>(data.NumRows()));
-    const Dataset subset = data.Select(indices);
-    const ErrorModel subset_errors = errors.Select(indices);
-    UDM_ASSIGN_OR_RETURN(
-        ErrorKernelDensity exact,
-        ErrorKernelDensity::Fit(subset, subset_errors, options.density));
-    exact_models.push_back(std::move(exact));
-    UDM_ASSIGN_OR_RETURN(std::vector<MicroCluster> summary,
-                         BuildMicroClusters(subset, subset_errors, mc_options));
-    UDM_ASSIGN_OR_RETURN(McDensityModel micro,
-                         McDensityModel::Build(summary, options.density));
-    micro_models.push_back(std::move(micro));
+  UDM_ASSIGN_OR_RETURN(
+      std::vector<McDensityModel> micro_models,
+      TrainClassModels(
+          data, errors, mc_options, options.density, "DegradingClassifier",
+          [&](const Dataset& subset, const ErrorModel& subset_errors) {
+            Result<ErrorKernelDensity> exact = ErrorKernelDensity::Fit(
+                subset, subset_errors, options.density);
+            if (!exact.ok()) return exact.status();
+            exact_models.push_back(std::move(*exact));
+            return Status::OK();
+          }));
+  std::vector<double> log_priors;
+  for (const McDensityModel& micro : micro_models) {
+    log_priors.push_back(std::log(static_cast<double>(micro.total_count()) /
+                                  static_cast<double>(data.NumRows())));
   }
   return DegradingClassifier(std::move(exact_models), std::move(micro_models),
-                             std::move(class_counts), std::move(log_priors),
-                             data.NumDims());
+                             std::move(log_priors), data.NumDims());
 }
 
 Result<DegradingClassifier::Prediction> DegradingClassifier::Predict(

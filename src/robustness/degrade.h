@@ -110,17 +110,15 @@ class DegradingClassifier {
   const DegradationReport& report() const { return report_; }
   void ResetReport() { report_ = DegradationReport(); }
 
-  size_t NumClasses() const { return class_counts_.size(); }
+  size_t NumClasses() const { return micro_models_.size(); }
   size_t num_dims() const { return num_dims_; }
 
  private:
   DegradingClassifier(std::vector<ErrorKernelDensity> exact_models,
                       std::vector<McDensityModel> micro_models,
-                      std::vector<size_t> class_counts,
                       std::vector<double> log_priors, size_t num_dims)
       : exact_models_(std::move(exact_models)),
         micro_models_(std::move(micro_models)),
-        class_counts_(std::move(class_counts)),
         log_priors_(std::move(log_priors)),
         num_dims_(num_dims) {
     all_dims_.resize(num_dims_);
@@ -135,7 +133,6 @@ class DegradingClassifier {
 
   std::vector<ErrorKernelDensity> exact_models_;  // one per class
   std::vector<McDensityModel> micro_models_;      // one per class
-  std::vector<size_t> class_counts_;              // |D_i|
   std::vector<double> log_priors_;                // log(|D_i| / |D|)
   size_t num_dims_;
   std::vector<size_t> all_dims_;  // {0, ..., d-1} scratch for subspace calls

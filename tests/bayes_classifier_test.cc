@@ -1,18 +1,22 @@
-#include "classify/bayes_classifier.h"
+// The full-dimensional Bayes rule argmax_c log|D_c| + log g(x, D_c):
+// DensityBasedClassifier::PredictBayes, the roll-up's fallback.
 
+#include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "classify/density_classifier.h"
-#include "classify/metrics.h"
 #include "dataset/synthetic.h"
 #include "error/perturbation.h"
+#include "microcluster/clusterer.h"
+#include "microcluster/mc_density.h"
 
 namespace udm {
 namespace {
 
-Dataset Separable(size_t n = 600, uint64_t seed = 21) {
+Dataset Separable(size_t n, uint64_t seed) {
   MixtureDatasetSpec spec;
   spec.num_dims = 3;
   spec.num_informative_dims = 3;
@@ -22,84 +26,77 @@ Dataset Separable(size_t n = 600, uint64_t seed = 21) {
   return MakeMixtureDataset(spec, n).value();
 }
 
-TEST(BayesClassifierTest, ValidatesInput) {
-  const Dataset d = Separable(100);
-  EXPECT_FALSE(
-      BayesDensityClassifier::Train(d, ErrorModel::Zero(99, 3)).ok());
-  const Dataset empty = Dataset::Create(3).value();
-  EXPECT_FALSE(
-      BayesDensityClassifier::Train(empty, ErrorModel::Zero(0, 3)).ok());
-  Dataset one_class = Dataset::Create(1).value();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(one_class.AppendRow(std::vector<double>{1.0 * i}, 0).ok());
-  }
-  EXPECT_FALSE(
-      BayesDensityClassifier::Train(one_class, ErrorModel::Zero(5, 1)).ok());
-}
-
 TEST(BayesClassifierTest, ClassifiesSeparableData) {
-  const Dataset d = Separable();
-  const auto clf =
-      BayesDensityClassifier::Train(d,
+  const Dataset d = Separable(600, 21);
+  const auto classifier =
+      DensityBasedClassifier::Train(d,
                                     ErrorModel::Zero(d.NumRows(), d.NumDims()))
           .value();
-  EXPECT_EQ(clf.NumClasses(), 2u);
-  EXPECT_EQ(clf.Name(), "bayes_density");
-  const ConfusionMatrix m = EvaluateClassifier(clf, d).value();
-  EXPECT_GT(m.Accuracy(), 0.95);
-}
-
-TEST(BayesClassifierTest, LogScoresArgmaxEqualsPrediction) {
-  const Dataset d = Separable(300);
-  const auto clf =
-      BayesDensityClassifier::Train(d,
-                                    ErrorModel::Zero(d.NumRows(), d.NumDims()))
-          .value();
-  for (size_t i = 0; i < d.NumRows(); i += 31) {
-    const auto scores = clf.LogScores(d.Row(i)).value();
-    const int predicted = clf.Predict(d.Row(i)).value();
-    size_t best = 0;
-    for (size_t c = 1; c < scores.size(); ++c) {
-      if (scores[c] > scores[best]) best = c;
-    }
-    EXPECT_EQ(predicted, static_cast<int>(best));
+  size_t correct = 0;
+  for (size_t i = 0; i < d.NumRows(); ++i) {
+    if (classifier.PredictBayes(d.Row(i)).value() == d.Label(i)) ++correct;
   }
+  EXPECT_GT(static_cast<double>(correct) / d.NumRows(), 0.95);
 }
 
 TEST(BayesClassifierTest, DimensionMismatch) {
-  const Dataset d = Separable(100);
-  const auto clf =
-      BayesDensityClassifier::Train(d,
+  const Dataset d = Separable(100, 21);
+  const auto classifier =
+      DensityBasedClassifier::Train(d,
                                     ErrorModel::Zero(d.NumRows(), d.NumDims()))
           .value();
-  EXPECT_FALSE(clf.Predict(std::vector<double>{1.0}).ok());
-  EXPECT_FALSE(clf.LogScores(std::vector<double>{1.0}).ok());
+  EXPECT_FALSE(classifier.PredictBayes(std::vector<double>{1.0}).ok());
+  EXPECT_FALSE(
+      classifier.PredictBayes(std::vector<double>{1.0, 2.0, 3.0, 4.0}).ok());
 }
 
 TEST(BayesClassifierTest, MatchesRollUpFallbackBehavior) {
-  // With an unreachable threshold, DensityBasedClassifier always uses its
-  // full-dimensional fallback — which is exactly the Bayes rule. The two
-  // classifiers must then agree everywhere (same summaries, same scores).
+  // With an unreachable threshold every prediction is the full-dimensional
+  // fallback, which must be the Bayes rule argmax_c log|D_c| + log g(x, D_c).
+  // The reference builds the per-class models here, independently of the
+  // classifier, and is checked on every row.
   const Dataset clean = Separable(500, 33);
   PerturbationOptions perturb;
   perturb.f = 1.0;
   const UncertainDataset u = Perturb(clean, perturb).value();
 
-  DensityBasedClassifier::Options rollup_options;
-  rollup_options.num_clusters = 60;
-  rollup_options.accuracy_threshold = 1e12;
+  DensityBasedClassifier::Options options;
+  options.num_clusters = 60;
+  options.accuracy_threshold = 1e12;
   const auto rollup =
-      DensityBasedClassifier::Train(u.data, u.errors, rollup_options).value();
+      DensityBasedClassifier::Train(u.data, u.errors, options).value();
 
-  BayesDensityClassifier::Options bayes_options;
-  bayes_options.num_clusters = 60;
-  const auto bayes =
-      BayesDensityClassifier::Train(u.data, u.errors, bayes_options).value();
-
-  for (size_t i = 0; i < u.data.NumRows(); i += 17) {
-    EXPECT_EQ(rollup.Predict(u.data.Row(i)).value(),
-              bayes.Predict(u.data.Row(i)).value())
-        << "row " << i;
+  MicroClusterer::Options clustering;
+  clustering.num_clusters = 60;
+  std::vector<McDensityModel> models;
+  std::vector<double> log_counts;
+  for (int c = 0; c < 2; ++c) {
+    const std::vector<size_t> rows = u.data.IndicesOfLabel(c);
+    models.push_back(
+        McDensityModel::Build(BuildMicroClusters(u.data.Select(rows),
+                                                 u.errors.Select(rows),
+                                                 clustering)
+                                  .value())
+            .value());
+    log_counts.push_back(std::log(static_cast<double>(rows.size())));
+  }
+  const std::vector<size_t> all_dims{0, 1, 2};
+  for (size_t i = 0; i < u.data.NumRows(); ++i) {
+    const std::span<const double> x = u.data.Row(i);
+    int expected = 0;
+    double best = 0.0;
+    for (size_t c = 0; c < models.size(); ++c) {
+      const double score =
+          log_counts[c] + models[c].LogEvaluateSubspace(x, all_dims);
+      if (c == 0 || score > best) {
+        expected = static_cast<int>(c);
+        best = score;
+      }
+    }
+    const auto explanation = rollup.Explain(x).value();
+    EXPECT_TRUE(explanation.used_fallback) << "row " << i;
+    EXPECT_EQ(explanation.predicted, expected) << "row " << i;
+    EXPECT_EQ(rollup.PredictBayes(x).value(), expected) << "row " << i;
   }
 }
 

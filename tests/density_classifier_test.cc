@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "classify/metrics.h"
+#include "common/exec_context.h"
 #include "dataset/synthetic.h"
 #include "error/perturbation.h"
 
@@ -128,6 +129,32 @@ TEST(DensityClassifierTest, HugeThresholdTriggersFallback) {
   // Fallback still classifies separable data correctly most of the time.
   const ConfusionMatrix matrix = EvaluateClassifier(classifier, d).value();
   EXPECT_GT(matrix.Accuracy(), 0.8);
+}
+
+TEST(DensityClassifierTest, ForcedFallbackChargesSingletonsAndClassModels) {
+  // Every class holds more rows than q, so each model has exactly q
+  // pseudo-points. Nothing qualifies: the roll-up scores the d singletons
+  // (global + class models each) and the fallback reads the class models
+  // over all d dimensions — no global read.
+  constexpr size_t kClusters = 40;
+  const Dataset d = SeparableData(300);
+  DensityBasedClassifier::Options options;
+  options.num_clusters = kClusters;
+  options.accuracy_threshold = 1e12;
+  const auto classifier =
+      DensityBasedClassifier::Train(
+          d, ErrorModel::Zero(d.NumRows(), d.NumDims()), options)
+          .value();
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_GT(d.IndicesOfLabel(c).size(), kClusters);
+  }
+  const size_t dims = d.NumDims();
+  const size_t class_terms = 2 * kClusters;
+  ExecContext ctx;
+  const auto explanation = classifier.Explain(d.Row(0), ctx).value();
+  ASSERT_TRUE(explanation.used_fallback);
+  EXPECT_EQ(ctx.kernel_evals_spent(),
+            dims * (kClusters + class_terms) + dims * class_terms);
 }
 
 TEST(DensityClassifierTest, MaxSelectedSubspacesHonored) {

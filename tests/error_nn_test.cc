@@ -1,4 +1,5 @@
-#include "classify/error_nn_classifier.h"
+// The error-aware nearest-neighbor rule of Eq. 5: NnClassifier trained
+// with a per-entry error model ψ.
 
 #include <vector>
 
@@ -14,18 +15,16 @@ namespace {
 
 TEST(ErrorNnTest, ValidatesInput) {
   const Dataset empty = Dataset::Create(1).value();
-  EXPECT_FALSE(
-      ErrorAwareNnClassifier::Train(empty, ErrorModel::Zero(0, 1)).ok());
+  EXPECT_FALSE(NnClassifier::Train(empty, ErrorModel::Zero(0, 1)).ok());
 
   Dataset d = Dataset::Create(1).value();
   ASSERT_TRUE(d.AppendRow(std::vector<double>{1.0}, 0).ok());
-  EXPECT_FALSE(
-      ErrorAwareNnClassifier::Train(d, ErrorModel::Zero(2, 1)).ok());
+  EXPECT_FALSE(NnClassifier::Train(d, ErrorModel::Zero(2, 1)).ok());
+  EXPECT_FALSE(NnClassifier::Train(d, ErrorModel::Zero(1, 2)).ok());
 
-  ErrorAwareNnClassifier::Options options;
+  NnClassifier::Options options;
   options.k = 0;
-  EXPECT_FALSE(
-      ErrorAwareNnClassifier::Train(d, ErrorModel::Zero(1, 1), options).ok());
+  EXPECT_FALSE(NnClassifier::Train(d, ErrorModel::Zero(1, 1), options).ok());
 }
 
 TEST(ErrorNnTest, ZeroErrorsMatchPlainNn) {
@@ -34,8 +33,8 @@ TEST(ErrorNnTest, ZeroErrorsMatchPlainNn) {
   spec.seed = 81;
   const Dataset d = MakeMixtureDataset(spec, 300).value();
   const ErrorModel zero = ErrorModel::Zero(d.NumRows(), d.NumDims());
-  const auto aware = ErrorAwareNnClassifier::Train(d, zero).value();
-  const auto plain = NnClassifier::Train(d).value();
+  const NnClassifier aware = NnClassifier::Train(d, zero).value();
+  const NnClassifier plain = NnClassifier::Train(d).value();
   for (size_t i = 0; i < d.NumRows(); i += 23) {
     std::vector<double> query(d.Row(i).begin(), d.Row(i).end());
     query[0] += 0.37;  // off-sample query
@@ -54,8 +53,8 @@ TEST(ErrorNnTest, Figure1ScenarioFlipsTheNeighbor) {
   errors.SetPsi(1, 0, 6.0);  // Z's dimension-0 error covers X
 
   const std::vector<double> x{0.0, 0.0};
-  const auto plain = NnClassifier::Train(train).value();
-  const auto aware = ErrorAwareNnClassifier::Train(train, errors).value();
+  const NnClassifier plain = NnClassifier::Train(train).value();
+  const NnClassifier aware = NnClassifier::Train(train, errors).value();
   EXPECT_EQ(plain.Predict(x).value(), 0);  // Y is Euclidean-nearer
   EXPECT_EQ(aware.Predict(x).value(), 1);  // Z's error region wins
 }
@@ -65,11 +64,10 @@ TEST(ErrorNnTest, KMajorityVote) {
   ASSERT_TRUE(train.AppendRow(std::vector<double>{0.0}, 0).ok());
   ASSERT_TRUE(train.AppendRow(std::vector<double>{0.2}, 0).ok());
   ASSERT_TRUE(train.AppendRow(std::vector<double>{0.1}, 1).ok());
-  ErrorAwareNnClassifier::Options options;
+  NnClassifier::Options options;
   options.k = 3;
-  const auto aware = ErrorAwareNnClassifier::Train(
-                         train, ErrorModel::Zero(3, 1), options)
-                         .value();
+  const NnClassifier aware =
+      NnClassifier::Train(train, ErrorModel::Zero(3, 1), options).value();
   EXPECT_EQ(aware.Predict(std::vector<double>{0.1}).value(), 0);
 }
 
@@ -102,9 +100,8 @@ TEST(ErrorNnTest, BestCaseMatchingFavorsNoisyRecordsUnderHeavyError) {
     const ErrorModel train_errors = u.errors.Select(train_idx);
     const Dataset test = u.data.Select(test_idx);
 
-    const auto aware =
-        ErrorAwareNnClassifier::Train(train, train_errors).value();
-    const auto plain = NnClassifier::Train(train).value();
+    const NnClassifier aware = NnClassifier::Train(train, train_errors).value();
+    const NnClassifier plain = NnClassifier::Train(train).value();
     aware_total += EvaluateClassifier(aware, test).value().Accuracy();
     plain_total += EvaluateClassifier(plain, test).value().Accuracy();
   }

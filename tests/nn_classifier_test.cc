@@ -35,6 +35,14 @@ TEST(NnClassifierTest, ValidatesInput) {
   EXPECT_FALSE(NnClassifier::Train(unlabeled).ok());
 }
 
+TEST(NnClassifierTest, NameFollowsTheMetric) {
+  EXPECT_EQ(NnClassifier::Train(TwoBlobs()).value().Name(), "nn");
+  EXPECT_EQ(NnClassifier::Train(TwoBlobs(), ErrorModel::Zero(6, 2))
+                .value()
+                .Name(),
+            "error_aware_nn");
+}
+
 TEST(NnClassifierTest, PredictsNearestBlob) {
   const NnClassifier nn = NnClassifier::Train(TwoBlobs()).value();
   EXPECT_EQ(nn.NumClasses(), 2u);
