@@ -5,6 +5,14 @@
 #include <set>
 
 namespace udm {
+namespace {
+
+/// Hard cap on candidate-subspace density evaluations per prediction;
+/// expansion stops once exceeded. Guards pathological blowups in very high
+/// dimensions.
+constexpr size_t kMaxEvaluations = 200000;
+
+}  // namespace
 
 Result<DensityBasedClassifier> DensityBasedClassifier::Train(
     const Dataset& data, const ErrorModel& errors, const Options& options) {
@@ -118,10 +126,7 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
   };
 
   size_t evaluations = 0;
-  const auto budget_left = [&]() {
-    return options_.max_evaluations == 0 ||
-           evaluations < options_.max_evaluations;
-  };
+  const auto budget_left = [&]() { return evaluations < kMaxEvaluations; };
 
   // Kernel-eval cost of scoring one subspace dimension: every pseudo-point
   // in the class models plus the global model contributes one term.

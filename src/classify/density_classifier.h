@@ -64,10 +64,6 @@ class DensityBasedClassifier : public Classifier {
     /// Safety cap on the roll-up depth (0 = run until C_{i+1} is empty, as
     /// in Figure 3).
     size_t max_subspace_dim = 0;
-    /// Hard cap on candidate-subspace density evaluations per prediction;
-    /// expansion stops once exceeded. Guards pathological blowups in very
-    /// high dimensions; 0 = unlimited.
-    size_t max_evaluations = 200000;
     /// Assignment metric for micro-clustering (ablation knob).
     AssignmentDistance distance = AssignmentDistance::kErrorAdjusted;
     /// Kernel/bandwidth knobs shared by all density models.

@@ -23,32 +23,6 @@ double ConfusionMatrix::Accuracy() const {
                           static_cast<double>(total);
 }
 
-double ConfusionMatrix::Recall(size_t c) const {
-  UDM_CHECK(c < num_classes_);
-  size_t row = 0;
-  for (size_t p = 0; p < num_classes_; ++p) row += At(c, p);
-  return row == 0 ? 0.0
-                  : static_cast<double>(At(c, c)) / static_cast<double>(row);
-}
-
-double ConfusionMatrix::Precision(size_t c) const {
-  UDM_CHECK(c < num_classes_);
-  size_t col = 0;
-  for (size_t t = 0; t < num_classes_; ++t) col += At(t, c);
-  return col == 0 ? 0.0
-                  : static_cast<double>(At(c, c)) / static_cast<double>(col);
-}
-
-double ConfusionMatrix::MacroF1() const {
-  double sum = 0.0;
-  for (size_t c = 0; c < num_classes_; ++c) {
-    const double p = Precision(c);
-    const double r = Recall(c);
-    sum += (p + r) == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
-  }
-  return num_classes_ == 0 ? 0.0 : sum / static_cast<double>(num_classes_);
-}
-
 Result<ConfusionMatrix> EvaluateClassifier(const Classifier& classifier,
                                            const Dataset& test,
                                            size_t threads) {

@@ -42,15 +42,6 @@ class ConfusionMatrix {
   /// Correct / Total (0 when empty).
   double Accuracy() const;
 
-  /// Recall of class `c`: At(c,c) / row-sum (0 when the class is absent).
-  double Recall(size_t c) const;
-
-  /// Precision of class `c`: At(c,c) / column-sum (0 when never predicted).
-  double Precision(size_t c) const;
-
-  /// Unweighted mean of per-class F1 scores.
-  double MacroF1() const;
-
  private:
   size_t num_classes_;
   std::vector<size_t> counts_;

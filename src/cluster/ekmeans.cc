@@ -8,6 +8,13 @@
 #include "microcluster/centroid_table.h"
 
 namespace udm {
+namespace {
+
+/// Lloyd's loop stops when no assignment changes, or after this many
+/// iterations.
+constexpr size_t kMaxIterations = 50;
+
+}  // namespace
 
 Result<KMeansResult> ErrorKMeans(const Dataset& data, const ErrorModel& errors,
                                  const ErrorKMeansOptions& options) {
@@ -85,7 +92,7 @@ Result<KMeansResult> ErrorKMeans(const Dataset& data, const ErrorModel& errors,
   UDM_RETURN_IF_ERROR(ctx.ChargeKernelEvals(n * k));
   UDM_RETURN_IF_ERROR(ctx.Check());
 
-  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (size_t iter = 0; iter < kMaxIterations; ++iter) {
     // Iteration-boundary check: before the first iteration a violation is
     // an error (there is no partial result yet); afterwards it truncates
     // Lloyd's loop and returns the last completed iteration's clustering.

@@ -22,8 +22,6 @@ namespace udm {
 /// means of the observed values.
 struct ErrorKMeansOptions {
   size_t k = 2;
-  size_t max_iterations = 50;
-  /// Convergence: stop when no assignment changes.
   AssignmentDistance distance = AssignmentDistance::kErrorAdjusted;
   /// Seed for the k-means++-style initial centroid choice.
   uint64_t seed = 17;
@@ -35,7 +33,7 @@ struct KMeansResult {
   double inertia = 0.0;              ///< Σ assigned error-adjusted distances
   size_t iterations = 0;
   bool converged = false;
-  /// kCompleted when Lloyd's loop ran to convergence / max_iterations;
+  /// kCompleted when Lloyd's loop converged or hit its iteration cap;
   /// kDeadline/kBudget when the ExecContext cut it short at an iteration
   /// boundary, in which case assignments/centroids are the last completed
   /// iteration's (a valid clustering, just not a converged one).

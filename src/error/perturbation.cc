@@ -27,7 +27,7 @@ Result<UncertainDataset> Perturb(const Dataset& clean,
       // Per-entry error std-dev ~ U[0, 2f] * sigma_j  (mean = f * sigma_j).
       const double sd = rng.Uniform(0.0, 2.0 * options.f) * stats[j].stddev;
       row[j] = src[j] + (sd > 0.0 ? rng.Gaussian(0.0, sd) : 0.0);
-      if (options.record_errors) psi_table[i * d + j] = sd;
+      psi_table[i * d + j] = sd;
     }
     UDM_RETURN_IF_ERROR(noisy.AppendRow(row, clean.Label(i)));
   }

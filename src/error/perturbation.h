@@ -35,10 +35,6 @@ struct PerturbationOptions {
   double f = 1.0;
   /// RNG seed; (clean data, options) deterministically define the output.
   uint64_t seed = 7;
-  /// When false, the returned ErrorModel is all-zero even though noise was
-  /// injected — simulating a pipeline that has errors but no estimates of
-  /// them (the paper's "no error adjustment" comparator sees exactly this).
-  bool record_errors = true;
 };
 
 /// Applies the protocol to `clean`, returning noisy values plus the ψ table

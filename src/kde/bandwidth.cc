@@ -14,30 +14,19 @@ double SilvermanBandwidth(double sigma, size_t n, double min_bandwidth) {
   return std::max(h, min_bandwidth);
 }
 
-double ScottBandwidth(double sigma, size_t n, size_t d, double min_bandwidth) {
-  UDM_DCHECK(n >= 1 && d >= 1);
-  const double h =
-      sigma * std::pow(static_cast<double>(n),
-                       -1.0 / (static_cast<double>(d) + 4.0));
-  return std::max(h, min_bandwidth);
-}
-
-std::vector<double> ComputeBandwidths(const Dataset& data, BandwidthRule rule,
-                                      double scale, double min_bandwidth) {
-  return ComputeBandwidthsFromStats(data.ComputeStats(), data.NumRows(), rule,
-                                    scale, min_bandwidth);
+std::vector<double> ComputeBandwidths(const Dataset& data, double scale,
+                                      double min_bandwidth) {
+  return ComputeBandwidthsFromStats(data.ComputeStats(), data.NumRows(), scale,
+                                    min_bandwidth);
 }
 
 std::vector<double> ComputeBandwidthsFromStats(
-    const std::vector<DimensionStats>& stats, size_t n, BandwidthRule rule,
-    double scale, double min_bandwidth) {
+    const std::vector<DimensionStats>& stats, size_t n, double scale,
+    double min_bandwidth) {
   UDM_CHECK(n >= 1) << "bandwidths need at least one row";
   std::vector<double> out(stats.size());
   for (size_t j = 0; j < stats.size(); ++j) {
-    const double h =
-        rule == BandwidthRule::kSilverman
-            ? SilvermanBandwidth(stats[j].stddev, n, min_bandwidth)
-            : ScottBandwidth(stats[j].stddev, n, stats.size(), min_bandwidth);
+    const double h = SilvermanBandwidth(stats[j].stddev, n, min_bandwidth);
     out[j] = std::max(h * scale, min_bandwidth);
   }
   return out;

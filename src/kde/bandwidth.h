@@ -9,34 +9,21 @@
 
 namespace udm {
 
-/// Bandwidth selection rules for per-dimension smoothing parameters h_j.
-enum class BandwidthRule {
-  /// Silverman's approximation (the paper's choice, §2):
-  /// h = 1.06 · σ · N^(−1/5).
-  kSilverman,
-  /// Scott's rule: h = σ · N^(−1/(d+4)) (d-aware alternative).
-  kScott,
-};
-
-/// One-dimensional Silverman bandwidth. Requires n >= 1; a zero sigma
-/// (constant dimension) yields `min_bandwidth` so the kernel stays proper.
+/// One-dimensional Silverman bandwidth, the paper's rule (§2):
+/// h = 1.06 · σ · N^(−1/5). Requires n >= 1; a zero sigma (constant
+/// dimension) yields `min_bandwidth` so the kernel stays proper.
 double SilvermanBandwidth(double sigma, size_t n, double min_bandwidth = 1e-9);
 
-/// Scott bandwidth for a d-dimensional estimate.
-double ScottBandwidth(double sigma, size_t n, size_t d,
-                      double min_bandwidth = 1e-9);
-
-/// Per-dimension bandwidths for `data` under `rule`, each multiplied by
+/// Per-dimension Silverman bandwidths for `data`, each multiplied by
 /// `scale` (a data-driven tuning knob; 1.0 reproduces the rule).
-std::vector<double> ComputeBandwidths(const Dataset& data, BandwidthRule rule,
-                                      double scale = 1.0,
+std::vector<double> ComputeBandwidths(const Dataset& data, double scale = 1.0,
                                       double min_bandwidth = 1e-9);
 
 /// Same, but from precomputed stats (avoids an O(N·d) pass when the caller
 /// already has them) with an explicit row count.
 std::vector<double> ComputeBandwidthsFromStats(
-    const std::vector<DimensionStats>& stats, size_t n, BandwidthRule rule,
-    double scale = 1.0, double min_bandwidth = 1e-9);
+    const std::vector<DimensionStats>& stats, size_t n, double scale = 1.0,
+    double min_bandwidth = 1e-9);
 
 /// Error-corrects `stats` before the bandwidth rule
 /// (DensityEvalOptions::deconvolve_bandwidth): σ_j² ← max(σ_j² −

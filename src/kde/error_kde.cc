@@ -38,8 +38,7 @@ Result<ErrorKernelDensity> ErrorKernelDensity::Fit(
     DeconvolveStats(mean_psi2, stats);
   }
   std::vector<double> bandwidths = ComputeBandwidthsFromStats(
-      stats, n, options.bandwidth_rule, options.bandwidth_scale,
-      options.min_bandwidth);
+      stats, n, options.bandwidth_scale, options.min_bandwidth);
   kde_internal::SummandDensity engine(
       kde_internal::ErrorKernelTable::Build(data.values(), psi, n, d,
                                             bandwidths, options.normalization),

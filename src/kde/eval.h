@@ -8,7 +8,6 @@
 
 #include "common/exec_context.h"
 #include "common/simd.h"
-#include "kde/bandwidth.h"
 #include "kde/kernel.h"
 
 namespace udm {
@@ -35,7 +34,7 @@ enum class IndexMode {
 
 /// Fit-time knobs for the cell-pruned spatial index built alongside the
 /// kernel tables (kde/spatial_index.h). Defaults are safe for any data:
-/// the grid keys on at most `max_grid_dims` well-spread dimensions, only
+/// the grid keys on at most three well-spread dimensions, only
 /// occupied cells are stored, and correctness never depends on the
 /// partition (per-cell bounds are computed from the actual members).
 struct DensityIndexOptions {
@@ -45,15 +44,6 @@ struct DensityIndexOptions {
   /// Minimum summand count (training points / micro-clusters) before a
   /// build pays for itself; below it the model stores no index.
   size_t min_points = 512;
-  /// Cell side along a keyed dimension, in units of that dimension's
-  /// bandwidth h_j. Smaller cells bound tighter but cost more per query.
-  double cell_width_bandwidths = 2.0;
-  /// Grid dimensionality cap: the index keys on the `max_grid_dims`
-  /// dimensions with the largest spread/h ratio (bounds still cover every
-  /// dimension, so subspace queries over non-keyed dims stay exact).
-  size_t max_grid_dims = 3;
-  /// Per-dimension resolution cap, before occupancy-driven coarsening.
-  size_t max_cells_per_dim = 64;
   /// Occupancy floor: the grid coarsens (halving per-dim resolution)
   /// until the mean summands per occupied cell reaches this. Governs the
   /// fixed O(cells·|S|) per-query bound pass — the price of the index on
@@ -72,8 +62,7 @@ struct DensityIndexOptions {
 /// spatial-index build knobs are the same concepts everywhere.
 struct DensityEvalOptions {
   KernelNormalization normalization = KernelNormalization::kPaper;
-  BandwidthRule bandwidth_rule = BandwidthRule::kSilverman;
-  /// Multiplier applied to the rule's bandwidths.
+  /// Multiplier applied to the Silverman bandwidths.
   double bandwidth_scale = 1.0;
   /// Lower bound on each h_j (guards constant dimensions).
   double min_bandwidth = 1e-9;

@@ -5,6 +5,16 @@
 namespace udm::kde_internal {
 namespace {
 
+/// Cell side along a keyed dimension, in units of that dimension's
+/// bandwidth h_j. Smaller cells bound tighter but cost more per query.
+constexpr double kCellWidthBandwidths = 2.0;
+/// Grid dimensionality cap: the index keys on the kMaxGridDims dimensions
+/// with the largest spread/h ratio (bounds still cover every dimension, so
+/// subspace queries over non-keyed dims stay exact).
+constexpr size_t kMaxGridDims = 3;
+/// Per-dimension resolution cap, before occupancy-driven coarsening.
+constexpr size_t kMaxCellsPerDim = 64;
+
 struct KeyDim {
   size_t dim = 0;
   double lo = 0.0;
@@ -63,21 +73,18 @@ SpatialIndex SpatialIndex::Build(const ErrorKernelTable& table,
   std::stable_sort(ranked.begin(), ranked.end(),
                    [&](size_t a, size_t b) { return score[a] > score[b]; });
 
-  const size_t max_key_dims = std::max<size_t>(1, options.max_grid_dims);
   std::vector<KeyDim> key_dims;
   for (size_t j : ranked) {
-    if (key_dims.size() >= max_key_dims) break;
+    if (key_dims.size() >= kMaxGridDims) break;
     if (!(score[j] > 0.0) || !std::isfinite(score[j])) continue;
     KeyDim k;
     k.dim = j;
     k.lo = dim_lo[j];
-    const double side =
-        std::max(options.cell_width_bandwidths, 1e-3) * bandwidths[j];
+    const double side = kCellWidthBandwidths * bandwidths[j];
     const double span = dim_hi[j] - dim_lo[j];
-    const size_t max_cells = std::max<size_t>(1, options.max_cells_per_dim);
     k.cells = static_cast<size_t>(
         std::clamp(std::ceil(span / side), 1.0,
-                   static_cast<double>(max_cells)));
+                   static_cast<double>(kMaxCellsPerDim)));
     k.inv_side = static_cast<double>(k.cells) / span;
     key_dims.push_back(k);
   }

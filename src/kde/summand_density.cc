@@ -32,7 +32,7 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 ///
 /// Records one `kde.eval.seconds` sample per call that reaches the loop.
 ///
-/// Outcome mapping (mirrors CrossValidate's partial-result contract):
+/// Outcome mapping (the partial-result contract):
 ///   * completed                      -> EvalResult, kCompleted;
 ///   * deadline/budget, >=1 point    -> EvalResult prefix, stop_cause set;
 ///   * deadline/budget, 0 points     -> that Status;

@@ -49,9 +49,9 @@ Result<McDensityModel> McDensityModel::Build(
     }
     DeconvolveStats(mean_psi2, bandwidth_stats);
   }
-  std::vector<double> bandwidths = ComputeBandwidthsFromStats(
-      bandwidth_stats, agg.total_count, options.bandwidth_rule,
-      options.bandwidth_scale, options.min_bandwidth);
+  std::vector<double> bandwidths =
+      ComputeBandwidthsFromStats(bandwidth_stats, agg.total_count,
+                                 options.bandwidth_scale, options.min_bandwidth);
 
   const size_t m = weights.size();
   std::vector<double> log_weights(m);

@@ -8,6 +8,12 @@
 #include "obs/metrics.h"
 
 namespace udm::obs {
+namespace {
+
+/// Rotated generations kept: path.1 (newest) .. path.kMaxRotations (oldest).
+constexpr size_t kMaxRotations = 2;
+
+}  // namespace
 
 AccessLog::~AccessLog() { Close(); }
 
@@ -80,7 +86,7 @@ void AccessLog::RotateLocked() {
   std::fclose(file_);
   file_ = nullptr;
   // Shift generations oldest-first: path.(N-1) -> path.N, ..., path -> path.1.
-  for (size_t i = options_.max_rotations; i >= 1; --i) {
+  for (size_t i = kMaxRotations; i >= 1; --i) {
     const std::string from =
         i == 1 ? options_.path : options_.path + "." + std::to_string(i - 1);
     const std::string to = options_.path + "." + std::to_string(i);

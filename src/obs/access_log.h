@@ -37,11 +37,10 @@ struct AccessLogOptions {
   std::string path;
   /// Rotate when the current file exceeds this many bytes (0 = never).
   uint64_t rotate_bytes = 64ull << 20;
-  /// Rotated generations kept: path.1 (newest) .. path.N (oldest).
-  size_t max_rotations = 2;
 };
 
-/// Append-only JSON-lines access log with size-based rotation. Append()
+/// Append-only JSON-lines access log with size-based rotation, keeping two
+/// rotated generations: path.1 (newest) and path.2 (oldest). Append()
 /// serializes, writes, and flushes one line under a mutex — the log is
 /// written once per completed request, far off any hot loop, so contention
 /// is irrelevant next to the request it describes. A default-constructed

@@ -41,7 +41,7 @@ Result<OutlierScores> ScoreOutliers(const Dataset& data,
         ErrorKernelDensity::Fit(data, errors, options.density));
     for (size_t i = 0; i < n; ++i) {
       double log_density = kde.LogEvaluateSubspace(data.Row(i), all_dims);
-      if (options.leave_one_out && n > 1) {
+      if (n > 1) {
         // f_loo = (N*f - own_kernel) / (N-1); own kernel at zero offset.
         double own_log = 0.0;
         for (size_t j = 0; j < data.NumDims(); ++j) {

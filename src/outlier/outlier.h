@@ -19,11 +19,11 @@ namespace udm {
 /// point whose large error widens its neighbors' kernels is *not* flagged
 /// merely for being noisy. Scores are negative log densities, so larger
 /// means more outlying.
+///
+/// The exact path scores each point against a density fit that excludes
+/// its own kernel (leave-one-out), removing the self-bump that otherwise
+/// masks isolated points in small datasets.
 struct OutlierOptions {
-  /// When true, score each point against a density fit that excludes its
-  /// own kernel (leave-one-out), removing the self-bump that otherwise
-  /// masks isolated points in small datasets.
-  bool leave_one_out = true;
   /// Micro-cluster budget for the scalable path; 0 = exact point-level KDE.
   size_t num_clusters = 0;
   DensityEvalOptions density;

@@ -28,6 +28,8 @@ namespace fs = std::filesystem;
 constexpr char kMagic[] = "udm-checkpoint";
 constexpr char kCrcKey[] = "crc32";
 constexpr char kFileSuffix[] = ".udmck";
+/// Files are named `checkpoint-<seq>.udmck`.
+constexpr std::string_view kStemPrefix = "checkpoint-";
 constexpr size_t kMaxTimeStats = 1u << 22;
 
 bool ReadU64(std::istream& in, uint64_t* out) {
@@ -292,10 +294,6 @@ Result<CheckpointManager> CheckpointManager::Create(
   if (options.max_keep == 0) {
     return Status::InvalidArgument("CheckpointManager: max_keep == 0");
   }
-  if (options.basename.empty() ||
-      options.basename.find('/') != std::string::npos) {
-    return Status::InvalidArgument("CheckpointManager: bad basename");
-  }
   std::error_code ec;
   fs::create_directories(options.directory, ec);
   if (ec) {
@@ -326,8 +324,8 @@ std::vector<std::string> CheckpointManager::ListCheckpoints() const {
     const fs::path& p = dirent.path();
     if (p.extension() != kFileSuffix) continue;
     const std::string stem = p.stem().string();
-    if (stem.rfind(options_.basename + "-", 0) != 0) continue;
-    const std::string seq_text = stem.substr(options_.basename.size() + 1);
+    if (!stem.starts_with(kStemPrefix)) continue;
+    const std::string seq_text = stem.substr(kStemPrefix.size());
     if (seq_text.empty() ||
         seq_text.find_first_not_of("0123456789") != std::string::npos) {
       continue;
@@ -377,7 +375,7 @@ Status CheckpointManager::SaveOnce(const StreamSummarizer& summarizer,
   const std::string payload = SerializeCheckpoint(summarizer, cursor);
   const fs::path dir(options_.directory);
   const std::string name =
-      options_.basename + "-" + std::to_string(next_sequence_);
+      std::string(kStemPrefix) + std::to_string(next_sequence_);
   const fs::path tmp = dir / (name + ".tmp");
   const fs::path final_path = dir / (name + kFileSuffix);
 

@@ -44,12 +44,11 @@ namespace udm {
 inline constexpr int kCheckpointVersion = 4;
 
 struct CheckpointOptions {
-  /// Directory the rotation lives in (created by Create if absent).
+  /// Directory the rotation lives in (created by Create if absent); files
+  /// are named `checkpoint-<seq>.udmck`.
   std::string directory;
   /// How many checkpoint generations to keep (K >= 1).
   size_t max_keep = 3;
-  /// File stem: files are named `<basename>-<seq>.udmck`.
-  std::string basename = "checkpoint";
   /// Retry schedule for transient I/O failures during Save/RestoreLatest.
   /// The default retries kIoError twice more with ~1-2 ms backoff; set
   /// max_attempts = 1 to restore fail-fast behavior.

@@ -10,6 +10,9 @@ namespace udm::serve {
 
 namespace {
 
+/// Longest accepted client-supplied trace id (printable ASCII only).
+constexpr size_t kMaxTraceIdBytes = 64;
+
 using obs::JsonValue;
 using obs::JsonWriter;
 
@@ -295,9 +298,9 @@ Result<ServeRequest> ParseRequestFrame(std::string_view frame,
       return FrameError("'trace_id' must be a string");
     }
     const std::string& id = trace_id->string();
-    if (id.empty() || id.size() > limits.max_trace_id_bytes) {
+    if (id.empty() || id.size() > kMaxTraceIdBytes) {
       return FrameError("'trace_id' length must be in [1, " +
-                        std::to_string(limits.max_trace_id_bytes) + "]");
+                        std::to_string(kMaxTraceIdBytes) + "]");
     }
     for (char c : id) {
       // Printable ASCII only: trace ids land in logs, trace exports, and

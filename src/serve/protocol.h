@@ -74,8 +74,6 @@ struct ProtocolLimits {
   size_t max_points = 4096;
   /// Most coordinates per point.
   size_t max_dims = 512;
-  /// Longest accepted client-supplied trace id (printable ASCII only).
-  size_t max_trace_id_bytes = 64;
 };
 
 /// One parsed client request.

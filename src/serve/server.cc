@@ -98,14 +98,8 @@ double UnixNow() {
       .count();
 }
 
-/// One health-source outcome plus the server-level gates, computed once
-/// and rendered identically by healthz and the stats health block.
-struct HealthSourceResult {
-  std::string name;
-  bool healthy = false;
-  std::string detail;
-};
-
+/// The server-level health gates, computed once and rendered identically
+/// by healthz and the stats health block.
 struct HealthRollup {
   bool healthy = false;
   bool ready = false;
@@ -115,7 +109,6 @@ struct HealthRollup {
   size_t queue_depth = 0;
   size_t in_flight = 0;
   size_t max_queue = 0;
-  std::vector<HealthSourceResult> sources;
 };
 
 HealthRollup ComputeHealth(bool draining, size_t models, size_t queue_depth,
@@ -128,15 +121,7 @@ HealthRollup ComputeHealth(bool draining, size_t models, size_t queue_depth,
   h.in_flight = in_flight;
   h.max_queue = options.max_queue;
   h.queue_ok = queue_depth + in_flight < options.max_queue;
-  bool sources_ok = true;
-  for (const ServerOptions::HealthSource& source : options.health_sources) {
-    HealthSourceResult result;
-    result.name = source.name;
-    result.healthy = source.check && source.check(&result.detail);
-    sources_ok = sources_ok && result.healthy;
-    h.sources.push_back(std::move(result));
-  }
-  h.healthy = h.ready && h.queue_ok && sources_ok;
+  h.healthy = h.ready && h.queue_ok;
   return h;
 }
 
@@ -150,15 +135,6 @@ void WriteHealthRollup(obs::JsonWriter& writer, const HealthRollup& h) {
   writer.Key("queue_depth").Number(static_cast<uint64_t>(h.queue_depth));
   writer.Key("in_flight").Number(static_cast<uint64_t>(h.in_flight));
   writer.Key("max_queue").Number(static_cast<uint64_t>(h.max_queue));
-  writer.Key("sources").BeginArray();
-  for (const HealthSourceResult& source : h.sources) {
-    writer.BeginObject();
-    writer.Key("name").String(source.name);
-    writer.Key("healthy").Bool(source.healthy);
-    writer.Key("detail").String(source.detail);
-    writer.EndObject();
-  }
-  writer.EndArray();
   writer.EndObject();
 }
 

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -60,15 +59,6 @@ struct ServerOptions {
   /// Default trailing window for the stats/metrics verbs (a request can
   /// override with window_seconds, clamped to the metrics ring).
   double stats_window_seconds = 60.0;
-  /// Pluggable dependency health (e.g. a ShardedSummarizer's shard
-  /// rollup). A check returns true when healthy and may fill `detail`
-  /// either way; all sources must pass for healthz to report healthy.
-  /// Checks run inline on reader threads — keep them cheap and lock-light.
-  struct HealthSource {
-    std::string name;
-    std::function<bool(std::string* detail)> check;
-  };
-  std::vector<HealthSource> health_sources;
   /// Borrowed per-request access log (nullptr = disabled). Must outlive
   /// the server.
   obs::AccessLog* access_log = nullptr;

@@ -118,7 +118,8 @@ size_t ShardedSummarizer::ShardFor(const RecordView& record) const {
   // FNV-1a over the value bit patterns and the timestamp. Bit patterns, not
   // rounded values: routing must be a pure function of the record so a
   // replayed stream lands on the same shards.
-  uint64_t h = 14695981039346656037ULL ^ options_.hash_seed;
+  constexpr uint64_t kRoutingSeed = 0x9E3779B97F4A7C15ULL;
+  uint64_t h = 14695981039346656037ULL ^ kRoutingSeed;
   const auto mix = [&h](uint64_t bits) {
     for (int b = 0; b < 8; ++b) {
       h ^= (bits >> (8 * b)) & 0xFF;

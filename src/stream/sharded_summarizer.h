@@ -104,9 +104,6 @@ struct ShardedSummarizerOptions {
   /// short reads (checkpoint paths) and ShardCrashSite crash points. Not
   /// owned; must outlive the summarizer.
   FaultInjector* io_faults = nullptr;
-  /// Seed folded into the routing hash, so distinct deployments can
-  /// decorrelate their partitions.
-  uint64_t hash_seed = 0x9E3779B97F4A7C15ULL;
   /// Worker width for the per-shard drain (0/1 = serial; N > 1 drains up
   /// to N shards concurrently on the shared ThreadPool). Routing and
   /// merge stay deterministic at any width. Ignored (forced serial) while
@@ -203,7 +200,7 @@ class ShardedSummarizer {
       ExecContext& ctx, const DensityEvalOptions& density = {}) const;
 
   /// Stable routing: which shard `record` belongs to (FNV-1a over the
-  /// value bit patterns and the timestamp, folded with hash_seed).
+  /// value bit patterns and the timestamp, from a fixed seed).
   size_t ShardFor(const RecordView& record) const;
 
   /// Simulates the death of shard `i`'s process: in-memory summarizer

@@ -29,11 +29,6 @@ TEST(BandwidthTest, ZeroSigmaFallsBackToMinimum) {
   EXPECT_DOUBLE_EQ(SilvermanBandwidth(0.0, 100, 0.5), 0.5);
 }
 
-TEST(BandwidthTest, ScottFormula) {
-  EXPECT_NEAR(ScottBandwidth(2.0, 1000, 6), 2.0 * std::pow(1000.0, -0.1),
-              1e-12);
-}
-
 TEST(BandwidthTest, ComputeBandwidthsMatchesPerDimStats) {
   MixtureDatasetSpec spec;
   spec.num_dims = 2;
@@ -42,8 +37,7 @@ TEST(BandwidthTest, ComputeBandwidthsMatchesPerDimStats) {
   spec.seed = 3;
   const Dataset d = MakeMixtureDataset(spec, 5000).value();
   const auto stats = d.ComputeStats();
-  const std::vector<double> h =
-      ComputeBandwidths(d, BandwidthRule::kSilverman);
+  const std::vector<double> h = ComputeBandwidths(d);
   ASSERT_EQ(h.size(), 2u);
   for (size_t j = 0; j < 2; ++j) {
     EXPECT_NEAR(h[j], SilvermanBandwidth(stats[j].stddev, d.NumRows()),
@@ -57,8 +51,8 @@ TEST(BandwidthTest, ScaleMultiplies) {
   MixtureDatasetSpec spec;
   spec.seed = 4;
   const Dataset d = MakeMixtureDataset(spec, 1000).value();
-  const auto h1 = ComputeBandwidths(d, BandwidthRule::kSilverman, 1.0);
-  const auto h2 = ComputeBandwidths(d, BandwidthRule::kSilverman, 2.0);
+  const auto h1 = ComputeBandwidths(d, 1.0);
+  const auto h2 = ComputeBandwidths(d, 2.0);
   for (size_t j = 0; j < h1.size(); ++j) {
     EXPECT_NEAR(h2[j], 2.0 * h1[j], 1e-12);
   }

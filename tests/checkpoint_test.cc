@@ -206,9 +206,6 @@ TEST(CheckpointManagerTest, RejectsBadOptions) {
   options.directory = FreshDir("udm_ckpt_opts");
   options.max_keep = 0;
   EXPECT_FALSE(CheckpointManager::Create(options).ok());
-  options.max_keep = 3;
-  options.basename = "a/b";
-  EXPECT_FALSE(CheckpointManager::Create(options).ok());
 }
 
 // ---------------------------------------------------------------------------

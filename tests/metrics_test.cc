@@ -26,26 +26,6 @@ TEST(ConfusionMatrixTest, EmptyMatrix) {
   ConfusionMatrix m(3);
   EXPECT_EQ(m.Total(), 0u);
   EXPECT_DOUBLE_EQ(m.Accuracy(), 0.0);
-  EXPECT_DOUBLE_EQ(m.Recall(0), 0.0);
-  EXPECT_DOUBLE_EQ(m.Precision(0), 0.0);
-  EXPECT_DOUBLE_EQ(m.MacroF1(), 0.0);
-}
-
-TEST(ConfusionMatrixTest, PrecisionRecallF1KnownValues) {
-  // Class 0: TP=8, FN=2, FP=1 -> recall .8, precision 8/9.
-  ConfusionMatrix m(2);
-  for (int i = 0; i < 8; ++i) m.Record(0, 0);
-  for (int i = 0; i < 2; ++i) m.Record(0, 1);
-  for (int i = 0; i < 1; ++i) m.Record(1, 0);
-  for (int i = 0; i < 9; ++i) m.Record(1, 1);
-  EXPECT_DOUBLE_EQ(m.Recall(0), 0.8);
-  EXPECT_DOUBLE_EQ(m.Precision(0), 8.0 / 9.0);
-  EXPECT_DOUBLE_EQ(m.Recall(1), 0.9);
-  EXPECT_DOUBLE_EQ(m.Precision(1), 9.0 / 11.0);
-  const double f1_0 = 2.0 * 0.8 * (8.0 / 9.0) / (0.8 + 8.0 / 9.0);
-  const double f1_1 =
-      2.0 * 0.9 * (9.0 / 11.0) / (0.9 + 9.0 / 11.0);
-  EXPECT_NEAR(m.MacroF1(), (f1_0 + f1_1) / 2.0, 1e-12);
 }
 
 /// Trivial classifier for harness testing: thresholds the first feature.

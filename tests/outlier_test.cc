@@ -61,29 +61,23 @@ TEST(OutlierTest, TopOutliersTruncates) {
 }
 
 TEST(OutlierTest, LeaveOneOutUnmasksIsolatedPoints) {
-  // With very few points the self-kernel dominates; LOO must still rank the
-  // isolated point first, while the naive (non-LOO) score may not separate
-  // it as sharply.
+  // With very few points the self-kernel dominates; leave-one-out scoring
+  // must still rank the isolated point first, and score it above the plain
+  // full-data density (self-bump removed).
   Dataset d = Dataset::Create(1).value();
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(d.AppendRow(std::vector<double>{0.1 * i}, 0).ok());
   }
   ASSERT_TRUE(d.AppendRow(std::vector<double>{50.0}, 0).ok());
 
-  OutlierOptions loo;
-  loo.leave_one_out = true;
-  const OutlierScores with_loo =
-      ScoreOutliers(d, ErrorModel::Zero(d.NumRows(), 1), loo).value();
-  EXPECT_EQ(with_loo.ranking[0], d.NumRows() - 1);
+  const ErrorModel zero = ErrorModel::Zero(d.NumRows(), 1);
+  const OutlierScores scores = ScoreOutliers(d, zero).value();
+  EXPECT_EQ(scores.ranking[0], d.NumRows() - 1);
 
-  OutlierOptions no_loo;
-  no_loo.leave_one_out = false;
-  const OutlierScores without =
-      ScoreOutliers(d, ErrorModel::Zero(d.NumRows(), 1), no_loo).value();
-  // The LOO score of the outlier must exceed its naive score (self-bump
-  // removed).
-  EXPECT_GT(with_loo.scores[d.NumRows() - 1],
-            without.scores[d.NumRows() - 1]);
+  const ErrorKernelDensity kde = ErrorKernelDensity::Fit(d, zero).value();
+  const std::vector<size_t> dims{0};
+  const double naive = -kde.LogEvaluateSubspace(d.Row(d.NumRows() - 1), dims);
+  EXPECT_GT(scores.scores[d.NumRows() - 1], naive);
 }
 
 TEST(OutlierTest, MicroClusterPathAgreesOnTheTopOutlier) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "classify/batch.h"
-#include "classify/cross_validation.h"
 #include "classify/density_classifier.h"
 #include "classify/metrics.h"
 #include "dataset/synthetic.h"
@@ -154,39 +153,6 @@ TEST(ParallelDeterminismTest, EvaluateClassifierMatchesSerial) {
         EXPECT_EQ(wide.At(t, p), serial.At(t, p)) << threads << " threads";
       }
     }
-  }
-}
-
-TEST(ParallelDeterminismTest, CrossValidationMatchesSerial) {
-  const Fixture& f = SharedFixture();
-  const ClassifierFactory factory =
-      [](const Dataset& train,
-         const ErrorModel& errors) -> Result<std::unique_ptr<Classifier>> {
-    DensityBasedClassifier::Options options;
-    options.num_clusters = 20;
-    UDM_ASSIGN_OR_RETURN(DensityBasedClassifier classifier,
-                         DensityBasedClassifier::Train(train, errors,
-                                                       options));
-    return std::unique_ptr<Classifier>(
-        new DensityBasedClassifier(std::move(classifier)));
-  };
-  CrossValidationOptions options;
-  options.folds = 4;
-  const CrossValidationResult serial =
-      CrossValidate(f.uncertain.data, f.uncertain.errors, factory, options)
-          .value();
-  for (const size_t threads : kWidths) {
-    CrossValidationOptions wide_options = options;
-    wide_options.threads = threads;
-    const CrossValidationResult wide =
-        CrossValidate(f.uncertain.data, f.uncertain.errors, factory,
-                      wide_options)
-            .value();
-    EXPECT_EQ(wide.fold_accuracies, serial.fold_accuracies)
-        << threads << " threads";
-    EXPECT_EQ(wide.mean_accuracy, serial.mean_accuracy);
-    EXPECT_EQ(wide.stddev_accuracy, serial.stddev_accuracy);
-    EXPECT_EQ(wide.folds_completed, serial.folds_completed);
   }
 }
 

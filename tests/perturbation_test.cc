@@ -117,21 +117,6 @@ TEST(PerturbTest, DeterministicUnderSeed) {
   }
 }
 
-TEST(PerturbTest, RecordErrorsFalseHidesPsi) {
-  const Dataset clean = MakeClean(100);
-  PerturbationOptions options;
-  options.f = 2.0;
-  options.record_errors = false;
-  const UncertainDataset result = Perturb(clean, options).value();
-  EXPECT_TRUE(result.errors.IsZero());
-  // Noise was still injected.
-  bool any_changed = false;
-  for (size_t i = 0; i < clean.NumRows() && !any_changed; ++i) {
-    if (result.data.Value(i, 0) != clean.Value(i, 0)) any_changed = true;
-  }
-  EXPECT_TRUE(any_changed);
-}
-
 TEST(ReplicatesTest, RequiresAtLeastTwo) {
   const Dataset clean = MakeClean(10);
   EXPECT_FALSE(EstimateFromReplicates({clean}).ok());

@@ -12,7 +12,6 @@
 #include "common/random.h"
 #include "dataset/synthetic.h"
 #include "error/perturbation.h"
-#include "error/transform.h"
 #include "kde/error_kde.h"
 #include "microcluster/clusterer.h"
 #include "microcluster/distance.h"
@@ -70,31 +69,44 @@ TEST_P(PropertySeedSweep, DensityIsTranslationInvariant) {
 }
 
 TEST_P(PropertySeedSweep, DensityIsScaleEquivariant) {
-  // Scaling dimension j by c (data, errors, and query together) divides
-  // the density by c: f'(c·x) = f(x)/c. Uses the Standardizer as the
-  // scaling machinery, closing the loop between the two modules.
+  // Scaling dimension j by c_j (data, errors, and query together) divides
+  // the density by the Jacobian: f'(c·x) = f(x)/Π c_j. Silverman's h and
+  // every ψ scale with the data, so the kernels stretch exactly.
   Workload w = MakeWorkload(GetParam());
-  const Standardizer scaler = Standardizer::FitZScore(w.data).value();
-  const Dataset scaled = scaler.Apply(w.data).value();
-  const ErrorModel scaled_errors = scaler.TransformErrors(w.errors).value();
+  const std::vector<double> scale{2.5, 0.4, 7.0};
+  const size_t n = w.data.NumRows();
+  Dataset scaled = w.data.Select([&] {
+    std::vector<size_t> all(n);
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    return all;
+  }());
+  std::vector<double> scaled_psi;
+  scaled_psi.reserve(n * 3);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < 3; ++j) {
+      scaled.SetValue(i, j, scaled.Value(i, j) * scale[j]);
+      scaled_psi.push_back(w.errors.Psi(i, j) * scale[j]);
+    }
+  }
+  const ErrorModel scaled_errors =
+      ErrorModel::FromTable(n, 3, std::move(scaled_psi)).value();
 
   const ErrorKernelDensity raw =
       ErrorKernelDensity::Fit(w.data, w.errors).value();
-  const ErrorKernelDensity std =
+  const ErrorKernelDensity stretched =
       ErrorKernelDensity::Fit(scaled, scaled_errors).value();
 
   double jacobian = 1.0;
-  for (double s : scaler.scales()) jacobian *= s;
+  for (double c : scale) jacobian *= c;
 
   for (size_t i = 0; i < 5; ++i) {
     const auto x = w.data.Row(i * 11);
     std::vector<double> x_scaled(x.begin(), x.end());
-    for (size_t j = 0; j < 3; ++j) {
-      x_scaled[j] = (x_scaled[j] - scaler.offsets()[j]) / scaler.scales()[j];
-    }
-    const double expected = raw.Evaluate(x) * jacobian;
-    const double actual = std.Evaluate(x_scaled);
-    EXPECT_NEAR(actual, expected, 1e-6 * (1.0 + expected));
+    for (size_t j = 0; j < 3; ++j) x_scaled[j] *= scale[j];
+    const double expected = raw.Evaluate(x) / jacobian;
+    const double actual = stretched.Evaluate(x_scaled);
+    EXPECT_GT(expected, 0.0);
+    EXPECT_NEAR(actual, expected, 1e-9 * expected);
   }
 }
 
@@ -160,25 +172,6 @@ TEST_P(PropertySeedSweep, ErrorAdjustedDistanceBounds) {
     const double euclid = ErrorAdjustedDistance(y, zero, c);
     EXPECT_GE(adjusted, 0.0);
     EXPECT_LE(adjusted, euclid + 1e-12);
-  }
-}
-
-TEST_P(PropertySeedSweep, PerturbNoiseIndependentOfRecording) {
-  // record_errors only controls whether ψ is *reported*; the injected
-  // noise stream must be identical either way.
-  MixtureDatasetSpec spec;
-  spec.seed = GetParam();
-  const Dataset clean = MakeMixtureDataset(spec, 100).value();
-  PerturbationOptions with, without;
-  with.f = without.f = 2.0;
-  with.seed = without.seed = GetParam() + 5;
-  without.record_errors = false;
-  const UncertainDataset a = Perturb(clean, with).value();
-  const UncertainDataset b = Perturb(clean, without).value();
-  for (size_t i = 0; i < clean.NumRows(); ++i) {
-    for (size_t j = 0; j < clean.NumDims(); ++j) {
-      EXPECT_DOUBLE_EQ(a.data.Value(i, j), b.data.Value(i, j));
-    }
   }
 }
 

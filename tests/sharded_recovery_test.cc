@@ -130,7 +130,7 @@ TEST(ShardedSummarizerTest, RoutesEverythingAndPreservesTheCount) {
 }
 
 TEST(ShardedSummarizerTest, RoutingIsAStableFunctionOfTheRecord) {
-  ShardedSummarizerOptions options = BaseOptions("");
+  const ShardedSummarizerOptions options = BaseOptions("");
   ShardedSummarizer a = ShardedSummarizer::Create(kDims, options).value();
   ShardedSummarizer b = ShardedSummarizer::Create(kDims, options).value();
   const std::vector<StreamRecord> records = MakeStream(500, 9);
@@ -140,16 +140,15 @@ TEST(ShardedSummarizerTest, RoutingIsAStableFunctionOfTheRecord) {
     EXPECT_EQ(a.ShardFor(view), a.ShardFor(view));
   }
 
-  // A different seed decorrelates the partition (at least one record of
-  // 500 moves).
-  options.hash_seed ^= 0x1234567;
-  ShardedSummarizer c = ShardedSummarizer::Create(kDims, options).value();
-  size_t moved = 0;
+  // The partition itself is pinned: checkpoints and replay logs written by
+  // one build must route identically under the next. Golden digest of the
+  // 500 shard indices, in order.
+  uint64_t digest = 14695981039346656037ULL;
   for (const StreamRecord& r : records) {
     const RecordView view{r.values, r.psi, r.timestamp};
-    if (a.ShardFor(view) != c.ShardFor(view)) ++moved;
+    digest = (digest ^ a.ShardFor(view)) * 1099511628211ULL;
   }
-  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(digest, 0xdcffe9d44b7c4c7eULL);
 }
 
 TEST(ShardedSummarizerTest, RejectsBadOptions) {

@@ -17,8 +17,9 @@
 //                      [--shards 4 --threads 0 --merged-clusters 0]
 //                      [--out summary.txt]
 //   udm_cli recover    --checkpoint-dir ckpt [--retry 3] [--out summary.txt]
-//   udm_cli merge      --checkpoint-dir ckpt [--shards 0] [--clusters 140]
+//   udm_cli merge      --checkpoint-dir ckpt [--shards 0] [--clusters q]
 //                      [--retry 3] --out merged.txt
+//                      (q defaults to the shards' own budget)
 //   udm_cli classify   --dataset adult --n 2000 [--f 1.0] [--test 200]
 //                      [--clusters 60] [--deadline-ms 5] [--eval-budget 0]
 //                      [--total-ms 0]
@@ -574,6 +575,9 @@ udm::Status RunMerge(const Flags& flags) {
 
   std::vector<std::vector<udm::MicroCluster>> summaries;
   size_t dims = 0;
+  // The shards' own budget and distance: merging with them reproduces the
+  // in-process merge of `stream --shards K` from the same checkpoints.
+  udm::MicroClusterer::Options options;
   uint64_t total_points = 0;
   for (size_t i = 0; shards == 0 || i < shards; ++i) {
     const std::string shard_dir = dir + "/shard-" + std::to_string(i);
@@ -587,13 +591,26 @@ udm::Status RunMerge(const Flags& flags) {
         manager.RestoreLatest();
     UDM_RETURN_IF_ERROR(
         restored.status().WithContext("shard " + std::to_string(i)));
+    const udm::StreamSummarizer::Options& shard_options =
+        restored->summarizer.options();
     if (dims == 0) {
       dims = restored->summarizer.num_dims();
+      options.num_clusters = shard_options.num_clusters;
+      options.distance = shard_options.distance;
     } else if (restored->summarizer.num_dims() != dims) {
       return udm::Status::InvalidArgument(
           "shard " + std::to_string(i) + " has " +
           std::to_string(restored->summarizer.num_dims()) +
           " dims, expected " + std::to_string(dims));
+    } else if (shard_options.num_clusters != options.num_clusters ||
+               shard_options.distance != options.distance) {
+      return udm::Status::InvalidArgument(
+          "shard " + std::to_string(i) + " was summarized with q=" +
+          std::to_string(shard_options.num_clusters) + " and distance " +
+          std::to_string(static_cast<int>(shard_options.distance)) +
+          ", expected q=" + std::to_string(options.num_clusters) +
+          " and distance " +
+          std::to_string(static_cast<int>(options.distance)));
     }
     total_points += restored->summarizer.num_points();
     std::printf("shard %zu: %llu points in %zu clusters (cursor %llu%s)\n", i,
@@ -611,9 +628,11 @@ udm::Status RunMerge(const Flags& flags) {
                                  "'");
   }
 
-  udm::MicroClusterer::Options options;
-  options.num_clusters = static_cast<size_t>(
-      std::atol(GetFlag(flags, "clusters", "140").c_str()));
+  // An explicit --clusters overrides the shards' own budget.
+  const std::string clusters = GetFlag(flags, "clusters", "");
+  if (!clusters.empty()) {
+    options.num_clusters = static_cast<size_t>(std::atol(clusters.c_str()));
+  }
   const std::vector<udm::SummaryView> views(summaries.begin(),
                                             summaries.end());
   UDM_ASSIGN_OR_RETURN(
@@ -915,23 +934,8 @@ udm::Status RunTop(const Flags& flags) {
         num_at(&stats, "served_ok") + num_at(&stats, "served_partial"),
         num_at(&stats, "shed_overload") + num_at(&stats, "shed_draining"),
         num_at(&stats, "degraded"), num_at(&stats, "protocol_errors"));
-    std::string health_line =
-        bool_at(health, "healthy") ? "OK" : "UNHEALTHY";
-    if (health != nullptr) {
-      const udm::obs::JsonValue* sources = health->Find("sources");
-      if (sources != nullptr && sources->is_array()) {
-        for (const udm::obs::JsonValue& source : sources->items()) {
-          const udm::obs::JsonValue* name = source.Find("name");
-          health_line += "  [" +
-                         (name != nullptr && name->is_string()
-                              ? name->string()
-                              : std::string("?")) +
-                         ": " +
-                         (bool_at(&source, "healthy") ? "OK" : "FAIL") + "]";
-        }
-      }
-    }
-    std::printf("  health: %s\n", health_line.c_str());
+    std::printf("  health: %s\n",
+                bool_at(health, "healthy") ? "OK" : "UNHEALTHY");
     std::fflush(stdout);
   }
   return udm::Status::OK();
