@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -82,6 +84,30 @@ void BM_PrunedExpAccum(benchmark::State& state) {
   state.SetLabel(udm::SimdLevelName(dispatch.level));
 }
 BENCHMARK(BM_PrunedExpAccum)->Arg(0)->Arg(1)->Arg(2);
+
+// The running term maximum of the dense and indexed routines' pass 1
+// (SimdDispatch::max_term), over the same 4096-term spread.
+void BM_MaxTerm(benchmark::State& state) {
+  const auto level = static_cast<udm::SimdLevel>(state.range(0));
+  if (level > udm::DetectBestSimdLevel()) {
+    state.SkipWithError("host CPU lacks this SIMD level");
+    return;
+  }
+  const auto& dispatch = udm::kde_internal::GetSimdDispatch(level);
+  const size_t n = 4096;
+  udm::Rng rng(17);
+  udm::AlignedVector<double> terms(n);
+  for (size_t i = 0; i < n; ++i) {
+    terms[i] = -std::abs(rng.Gaussian(0.0, 18.0));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dispatch.max_term(
+        terms.data(), n, -std::numeric_limits<double>::infinity()));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(udm::SimdLevelName(dispatch.level));
+}
+BENCHMARK(BM_MaxTerm)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_ErrorKernelValue(benchmark::State& state) {
   udm::Rng rng(1);
@@ -170,6 +196,45 @@ BENCHMARK(BM_McDensitySubspaceEval)
     ->Args({80, 10})
     ->Args({140, 2})
     ->Args({140, 10});
+
+// The classifier's singleton level for one model: every singleton
+// log-density of one query over a q=140 summary of ionosphere-like data
+// (d=34, the `classify` benchmark's shape). Arg 0 makes d separate
+// LogEvaluateSubspace({j}) calls, arg 1 one LogEvaluateSingletons pass;
+// both return the same bits. Items are singleton densities.
+void BM_McDensitySingletons(benchmark::State& state) {
+  const bool one_pass = state.range(0) != 0;
+  const udm::Dataset clean = udm::MakeIonosphereLike(3000, 2).value();
+  udm::PerturbationOptions perturb;
+  perturb.f = 0.6;
+  const udm::UncertainDataset uncertain =
+      udm::Perturb(clean, perturb).value();
+  udm::MicroClusterer::Options options;
+  options.num_clusters = 140;
+  const auto clusters =
+      udm::BuildMicroClusters(uncertain.data, uncertain.errors, options)
+          .value();
+  const auto model = udm::McDensityModel::Build(clusters).value();
+  const size_t d = model.num_dims();
+  std::vector<double> out(d);
+  size_t row = 0;
+  for (auto _ : state) {
+    row = (row + 1) % uncertain.data.NumRows();
+    const std::span<const double> x = uncertain.data.Row(row);
+    if (one_pass) {
+      model.LogEvaluateSingletons(x, out);
+    } else {
+      for (size_t j = 0; j < d; ++j) {
+        const size_t dims[] = {j};
+        out[j] = model.LogEvaluateSubspace(x, dims);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * d);
+}
+BENCHMARK(BM_McDensitySingletons)->Arg(0)->Arg(1);
 
 // Batch evaluation through the EvalRequest front door at a given worker
 // width (range arg). Single-threaded-time / N-thread-time across the args

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <set>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
+
 namespace udm {
 namespace {
 
@@ -11,6 +14,22 @@ namespace {
 /// expansion stops once exceeded. Guards pathological blowups in very high
 /// dimensions.
 constexpr size_t kMaxEvaluations = 200000;
+
+/// Publishes one Explain's roll-up tallies: subspaces scored, subspaces
+/// that qualified (beat the threshold), and whether the Bayes fallback
+/// decided. One increment per counter per Explain.
+void RecordRollUp(size_t scored, size_t qualified, bool fallback) {
+  static obs::Counter& scored_counter =
+      obs::MetricsRegistry::Global().GetCounter("classify.subspaces_scored");
+  static obs::Counter& qualified_counter =
+      obs::MetricsRegistry::Global().GetCounter(
+          "classify.subspaces_qualified");
+  static obs::Counter& fallback_counter =
+      obs::MetricsRegistry::Global().GetCounter("classify.fallbacks");
+  if (scored != 0) scored_counter.Increment(scored);
+  if (qualified != 0) qualified_counter.Increment(qualified);
+  if (fallback) fallback_counter.Increment();
+}
 
 }  // namespace
 
@@ -48,19 +67,25 @@ double DensityBasedClassifier::LogAccuracy(size_t c, double log_class,
   return log_counts_[c] + log_class - log_total_ - log_global;
 }
 
-DensityBasedClassifier::SubspaceScore DensityBasedClassifier::ScoreSubspace(
-    std::span<const double> x, std::span<const size_t> dims) const {
-  const double log_global = global_model_.LogEvaluateSubspace(x, dims);
+template <typename ClassLogDensity>
+DensityBasedClassifier::SubspaceScore DensityBasedClassifier::BestClass(
+    double log_global, ClassLogDensity&& log_class) const {
   SubspaceScore best;
   for (size_t c = 0; c < class_models_.size(); ++c) {
-    const double log_acc = LogAccuracy(
-        c, class_models_[c].LogEvaluateSubspace(x, dims), log_global);
+    const double log_acc = LogAccuracy(c, log_class(c), log_global);
     if (c == 0 || log_acc > best.log_accuracy) {
       best.label = static_cast<int>(c);
       best.log_accuracy = log_acc;
     }
   }
   return best;
+}
+
+DensityBasedClassifier::SubspaceScore DensityBasedClassifier::ScoreSubspace(
+    std::span<const double> x, std::span<const size_t> dims) const {
+  return BestClass(global_model_.LogEvaluateSubspace(x, dims), [&](size_t c) {
+    return class_models_[c].LogEvaluateSubspace(x, dims);
+  });
 }
 
 double DensityBasedClassifier::LogLocalAccuracy(
@@ -117,6 +142,7 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     return Status::InvalidArgument(
         "DensityBasedClassifier: point dimension mismatch");
   }
+  obs::TraceSpan span("classify.explain");
   UDM_RETURN_IF_ERROR(ctx.Check());
   const double log_threshold = std::log(options_.accuracy_threshold);
 
@@ -155,18 +181,32 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     return false;
   };
 
-  // Level 1: all singleton subspaces.
+  // Level 1: all singleton subspaces. One singleton pass per model fills
+  // the bank (row c = class c, row k = global) up front; the loop then
+  // charges, checks and scores each singleton exactly as if it were read
+  // on demand, so a deadline or budget stops at the same subspace.
+  const size_t k = class_models_.size();
+  std::vector<double> bank((k + 1) * num_dims_);
+  for (size_t c = 0; c <= k; ++c) {
+    const McDensityModel& model = c < k ? class_models_[c] : global_model_;
+    model.LogEvaluateSingletons(
+        x, std::span<double>(bank).subspan(c * num_dims_, num_dims_));
+  }
   std::vector<Qualified> level1;
   for (size_t j = 0; j < num_dims_; ++j) {
     if (!boundary_ok(1)) break;
-    const size_t dims[] = {j};
     ++evaluations;
-    const SubspaceScore score = ScoreSubspace(x, dims);
+    const SubspaceScore score =
+        BestClass(bank[k * num_dims_ + j],
+                  [&](size_t c) { return bank[c * num_dims_ + j]; });
     if (score.log_accuracy > log_threshold) {
       level1.push_back({{j}, score});
     }
   }
-  if (!cancelled.ok()) return cancelled;
+  if (!cancelled.ok()) {
+    RecordRollUp(evaluations, level1.size(), false);
+    return cancelled;
+  }
 
   std::vector<Qualified> qualifying = level1;
   std::vector<Qualified> frontier = level1;
@@ -204,6 +244,8 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     frontier = std::move(next);
     ++level;
   }
+  RecordRollUp(evaluations, qualifying.size(),
+               cancelled.ok() && qualifying.empty());
   if (!cancelled.ok()) return cancelled;
 
   Explanation explanation;

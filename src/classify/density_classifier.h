@@ -156,6 +156,11 @@ class DensityBasedClassifier : public Classifier {
   };
   SubspaceScore ScoreSubspace(std::span<const double> x,
                               std::span<const size_t> dims) const;
+  /// The best class from the global log-density and `log_class(c)`, the
+  /// log-density of class c, at one subspace (ties go to the lower label).
+  template <typename ClassLogDensity>
+  SubspaceScore BestClass(double log_global,
+                          ClassLogDensity&& log_class) const;
 
   /// log A(x, S, l_c) of Eq. 11 from the class and global log-densities
   /// at (x, S).

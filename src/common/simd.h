@@ -76,7 +76,7 @@ inline bool ParseSimdRequest(std::string_view text, SimdRequest* request) {
 inline SimdLevel DetectBestSimdLevel() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq")) {
+      __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("fma")) {
     return SimdLevel::kAvx512;
   }
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {

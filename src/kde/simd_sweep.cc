@@ -1,10 +1,11 @@
 #include "kde/simd_sweep.h"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include "kde/kernel_table.h"
+#include "kde/poly_exp.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define UDM_SIMD_X86 1
@@ -13,9 +14,10 @@
 // GCC's _mm512_undefined_pd()/_mm512_undefined_epi32() are implemented as
 // deliberately-uninitialized self-initialized locals, which trips
 // -Wmaybe-uninitialized (GCC PR 105593) when the min/slli intrinsics
-// inline into our target("avx512f,...") functions. Nothing here reads
-// truly uninitialized data.
+// inline into our target("avx512f,...") functions, and -Wuninitialized
+// for the max intrinsic. Nothing here reads truly uninitialized data.
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 #else
 #define UDM_SIMD_X86 0
@@ -23,50 +25,6 @@
 
 namespace udm::kde_internal {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Shared exp constants. The polynomial exp is the same elementwise
-// algorithm at every width — scalar (SimdPolyExp), 4 lanes (AVX2), 8
-// lanes (AVX-512) — built from sub/mul/add/fma/min and a round-to-
-// nearest-even via the 1.5·2^52 magic-number trick, all of which round
-// per element. A term's exp therefore never depends on which lane (or
-// the tail) it landed in, which is what makes the exp-and-sum pass
-// bit-stable across index modes and range splits at a given level.
-//
-// Algorithm: k = round(x·log2e); Cody–Waite reduction r = x − k·ln2_hi −
-// k·ln2_lo (ln2_hi carries 20 trailing zero bits, so k·ln2_hi is exact
-// for |k| ≤ 2^20); e^r ≈ 1 + r + r²·P(r) with P the Taylor tail 1/2! +
-// r/3! + … + r^11/13! (truncation < 5e-18 on |r| ≤ ln2/2); scale by 2^k
-// through exponent-field construction. Total error ≤ 2 ulp per term.
-//
-// Range handling: inputs are clamped above at 710 (exp overflows to +inf
-// exactly as std::exp does by 709.79) and flushed to +0 below −708 —
-// std::exp still returns a subnormal down to −745, so the poly path
-// differs there by at most 3.3e-308 absolute per term, invisible under
-// the 1e-12 relative contract for any sum whose leading kept term is
-// ≥ e^−671 (log-space sums always lead with exp(0) = 1).
-inline constexpr double kExpLog2e = 0x1.71547652b82fep+0;   // log2(e)
-inline constexpr double kExpLn2Hi = 0x1.62e42fee00000p-1;   // 20 low zeros
-inline constexpr double kExpLn2Lo = 0x1.a39ef35793c76p-33;  // ln2 − ln2_hi
-inline constexpr double kExpRoundMagic = 0x1.8p+52;         // 1.5·2^52
-inline constexpr double kExpScaleBias = 4503599627371519.0;  // 2^52 + 1023
-inline constexpr double kExpClampHi = 710.0;
-inline constexpr double kExpZeroBelow = -708.0;
-// Taylor tail coefficients 1/k! for k = 2..13, highest degree first.
-// Spelled as divisions so the scalar and vector paths share the exact
-// same correctly-rounded doubles.
-inline constexpr double kExpC13 = 1.0 / 6227020800.0;
-inline constexpr double kExpC12 = 1.0 / 479001600.0;
-inline constexpr double kExpC11 = 1.0 / 39916800.0;
-inline constexpr double kExpC10 = 1.0 / 3628800.0;
-inline constexpr double kExpC9 = 1.0 / 362880.0;
-inline constexpr double kExpC8 = 1.0 / 40320.0;
-inline constexpr double kExpC7 = 1.0 / 5040.0;
-inline constexpr double kExpC6 = 1.0 / 720.0;
-inline constexpr double kExpC5 = 1.0 / 120.0;
-inline constexpr double kExpC4 = 1.0 / 24.0;
-inline constexpr double kExpC3 = 1.0 / 6.0;
-inline constexpr double kExpC2 = 1.0 / 2.0;
 
 // ---------------------------------------------------------------------------
 // Scalar level: the reference. The sweep is the kernel_table.h inline;
@@ -90,39 +48,13 @@ void ExpAccumScalar(const double* terms, size_t n, double max_term,
   }
 }
 
-}  // namespace
-
-// Scalar lane of the vector exp; noinline keeps it compiled in the
-// baseline ISA context even when called from the AVX2/AVX-512 tail
-// loops, so no FMA contraction can sneak into the add/sub sequence and
-// diverge it from what baseline-compiled callers (tests) compute.
-__attribute__((noinline)) double SimdPolyExp(double x) {
-  if (x < kExpZeroBelow) return 0.0;  // matches the vector flush mask
-  const double xc = std::isnan(x) ? x : (x < kExpClampHi ? x : kExpClampHi);
-  const double m = xc * kExpLog2e;
-  const double k = (m + kExpRoundMagic) - kExpRoundMagic;  // nearest-even
-  const double r1 = std::fma(k, -kExpLn2Hi, xc);
-  const double r = std::fma(k, -kExpLn2Lo, r1);
-  double q = kExpC13;
-  q = std::fma(q, r, kExpC12);
-  q = std::fma(q, r, kExpC11);
-  q = std::fma(q, r, kExpC10);
-  q = std::fma(q, r, kExpC9);
-  q = std::fma(q, r, kExpC8);
-  q = std::fma(q, r, kExpC7);
-  q = std::fma(q, r, kExpC6);
-  q = std::fma(q, r, kExpC5);
-  q = std::fma(q, r, kExpC4);
-  q = std::fma(q, r, kExpC3);
-  q = std::fma(q, r, kExpC2);
-  const double r2 = r * r;
-  const double v = std::fma(q, r2, r);
-  const double p = 1.0 + v;
-  const double u = k + kExpScaleBias;  // exact: k + 1023 ∈ [2, 2047]
-  const double scale =
-      std::bit_cast<double>(std::bit_cast<uint64_t>(u) << 52);
-  return p * scale;
+double MaxTermScalar(const double* terms, size_t n, double init) {
+  double m = init;
+  for (size_t i = 0; i < n; ++i) m = std::max(m, terms[i]);
+  return m;
 }
+
+}  // namespace
 
 #if UDM_SIMD_X86
 
@@ -130,7 +62,21 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // AVX2 + FMA level: 4 double lanes. Scalar tails reuse std::fma (the
-// compiler emits the same vfmadd the lanes use) and SimdPolyExp.
+// compiler emits the same vfmadd the lanes use) and SimdPolyExpFma.
+
+// Lane-parallel maxima equal the in-order fold in value (NaN terms lose
+// every select, so each lane holds the max of init and its non-NaN
+// terms); only the sign of a zero maximum depends on which zero the fold
+// met first. `m` is the lane-parallel result.
+double FirstZeroIfZero(double m, const double* terms, size_t n,
+                       double init) {
+  if (m != 0.0) return m;
+  if (init == 0.0) return init;
+  for (size_t i = 0; i < n; ++i) {
+    if (terms[i] == 0.0) return terms[i];
+  }
+  return m;
+}
 
 __attribute__((target("avx2,fma"))) inline __m256d ExpPd256(__m256d x) {
   const __m256d zero_mask =
@@ -219,8 +165,32 @@ __attribute__((target("avx2,fma"))) void ExpAccumAvx2(const double* terms,
       ++state.pruned;
       continue;
     }
-    state.AddPlain(SimdPolyExp(terms[i] - shift));
+    state.AddPlain(SimdPolyExpFma(terms[i] - shift));
   }
+}
+
+// max_pd(t, m) is (t > m) ? t : m, the scalar fold's select. Two
+// accumulators hide the max latency; the fold over lanes is exact in
+// value, so their order does not matter.
+__attribute__((target("avx2,fma"))) double MaxTermAvx2(const double* terms,
+                                                      size_t n, double init) {
+  __m256d m0 = _mm256_set1_pd(init);
+  __m256d m1 = m0;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    m0 = _mm256_max_pd(_mm256_loadu_pd(terms + i), m0);
+    m1 = _mm256_max_pd(_mm256_loadu_pd(terms + i + 4), m1);
+  }
+  if (i + 4 <= n) {
+    m0 = _mm256_max_pd(_mm256_loadu_pd(terms + i), m0);
+    i += 4;
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, _mm256_max_pd(m1, m0));
+  double m = init;
+  for (const double lane : lanes) m = std::max(m, lane);
+  for (; i < n; ++i) m = std::max(m, terms[i]);
+  return FirstZeroIfZero(m, terms, n, init);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,8 +288,31 @@ __attribute__((target("avx512f,avx512dq"))) void ExpAccumAvx512(
       ++state.pruned;
       continue;
     }
-    state.AddPlain(SimdPolyExp(terms[i] - shift));
+    state.AddPlain(SimdPolyExpFma(terms[i] - shift));
   }
+}
+
+__attribute__((target("avx512f,avx512dq"))) double MaxTermAvx512(
+    const double* terms, size_t n, double init) {
+  const __m512d vinit = _mm512_set1_pd(init);
+  __m512d m0 = vinit;
+  __m512d m1 = vinit;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    m0 = _mm512_max_pd(_mm512_loadu_pd(terms + i), m0);
+    m1 = _mm512_max_pd(_mm512_loadu_pd(terms + i + 8), m1);
+  }
+  // Ragged rest: masked-off lanes take init, a no-op in the fold.
+  for (; i < n; i += 8) {
+    const size_t len = std::min<size_t>(n - i, 8);
+    const __mmask8 mask = static_cast<__mmask8>((1u << len) - 1u);
+    m0 = _mm512_max_pd(_mm512_mask_loadu_pd(vinit, mask, terms + i), m0);
+  }
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, _mm512_max_pd(m1, m0));
+  double m = init;
+  for (const double lane : lanes) m = std::max(m, lane);
+  return FirstZeroIfZero(m, terms, n, init);
 }
 
 }  // namespace
@@ -328,12 +321,12 @@ __attribute__((target("avx512f,avx512dq"))) void ExpAccumAvx512(
 
 const SimdDispatch& GetSimdDispatch(SimdLevel level) {
   static const SimdDispatch kScalarTable{SimdLevel::kScalar, &SweepScalar,
-                                         &ExpAccumScalar};
+                                         &ExpAccumScalar, &MaxTermScalar};
 #if UDM_SIMD_X86
   static const SimdDispatch kAvx2Table{SimdLevel::kAvx2, &SweepAvx2,
-                                       &ExpAccumAvx2};
+                                       &ExpAccumAvx2, &MaxTermAvx2};
   static const SimdDispatch kAvx512Table{SimdLevel::kAvx512, &SweepAvx512,
-                                         &ExpAccumAvx512};
+                                         &ExpAccumAvx512, &MaxTermAvx512};
   switch (level) {
     case SimdLevel::kAvx512:
       return kAvx512Table;

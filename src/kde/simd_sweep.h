@@ -18,10 +18,14 @@
 ///  - The exp-and-sum pass is bit-identical across index modes, thread
 ///    widths, and range splits *at a given level* (the vector exp is
 ///    elementwise and the accumulation is a strict left-to-right fold in
-///    term order), and within 1e-12 relative of the scalar std::exp path
-///    across levels (polynomial exp, ≤2 ulp per term). Pruned-term
-///    counts are exactly identical at every level: the gap test compares
-///    the exact pass-1 term values, never the approximated exps.
+///    term order; SimdPolyExp notes the k-rounding window where a lane
+///    and the remainder can differ), and within 1e-12 relative of the
+///    scalar std::exp path across levels (polynomial exp, ≤2 ulp per
+///    term). Pruned-term counts are exactly identical at every level: the
+///    gap test compares the exact pass-1 term values, never the
+///    approximated exps.
+///  - The running term maximum is bit-identical across every level (see
+///    MaxTermFn).
 
 #include <cstddef>
 #include <cstdint>
@@ -82,12 +86,21 @@ using PrunedExpAccumFn = void (*)(const double* terms, size_t n,
                                   double max_term, double shift, double gap,
                                   ExpSumState& state);
 
-/// One resolved dispatch level: the two hot-path entry points plus the
-/// level they implement (reported through EvalStats/serve/bench).
+/// The running maximum of `terms[0, n)` seeded with `init`: the in-order
+/// fold m = (m < t) ? t : m, i.e. std::max(m, t), bit for bit at every
+/// level — a NaN term never replaces m, and among zeros of either sign
+/// the first one in fold order (init first) is kept. The vector levels
+/// step each lane as max_pd(t, m), which is that same select, and
+/// resolve the sign of a zero maximum by a scan for the first zero.
+using MaxTermFn = double (*)(const double* terms, size_t n, double init);
+
+/// One resolved dispatch level: the hot-path entry points plus the level
+/// they implement (reported through EvalStats/serve/bench).
 struct SimdDispatch {
   SimdLevel level = SimdLevel::kScalar;
   SweepKernelFn sweep = nullptr;
   PrunedExpAccumFn pruned_exp_accum = nullptr;
+  MaxTermFn max_term = nullptr;
 };
 
 /// The dispatch table for `level`. Levels the host cannot execute must
@@ -97,14 +110,35 @@ const SimdDispatch& GetSimdDispatch(SimdLevel level);
 /// The process-default dispatch (ProcessSimdLevel(): UDM_SIMD else CPUID).
 const SimdDispatch& ProcessSimdDispatch();
 
-/// The elementwise polynomial exp used by the vector paths, evaluated for
-/// one scalar input through the identical rounding sequence as a vector
-/// lane — the sweeps' remainder handling uses it so a term's exp does not
-/// depend on whether it landed in a full vector or the tail. Exposed for
-/// tests. Accuracy ≤2 ulp on [−708, 710]; inputs below −708 flush to +0
-/// (std::exp returns a subnormal ≤ 3.3e-308 there — see DESIGN.md §4k for
-/// why this is invisible under the 1e-12 contract).
+/// The elementwise polynomial exp of the vector paths for one scalar
+/// input — the remainder handling of the vector exp-and-sum passes runs
+/// the terms that do not fill a vector through it. Accuracy ≤2 ulp on
+/// [−708, 710]; inputs below −708 flush to +0 (std::exp returns a
+/// subnormal ≤ 3.3e-308 there — see DESIGN.md §4k for why this is
+/// invisible under the 1e-12 contract).
+///
+/// It issues the same operations as a vector lane, but not the same
+/// rounding sequence: at default flags GCC contracts the lanes' `m +
+/// magic` rounding step (ExpPd256/ExpPd512) into an FMA, while this
+/// function rounds the product and the add separately. Near a k-rounding
+/// boundary a lane and this function can therefore pick different k, and
+/// there a term's exp bits depend on whether it landed in a full vector
+/// or in the remainder — so the split invariance promised above holds
+/// exactly only for terms away from those boundaries (a window of about
+/// one ulp of x·log2e around each half-integer). Making both sides round
+/// alike is the ROADMAP floating-point-contract item.
+///
+/// Compiled in its own translation unit with -ffp-contract=off (so no
+/// flag, -march included, can fuse the separately rounded steps) at the
+/// baseline ISA, where std::fma is a libm call. This is the portable
+/// reference.
 double SimdPolyExp(double x);
+
+/// SimdPolyExp's body compiled for FMA hardware, where each std::fma is
+/// one instruction: bit-identical to SimdPolyExp (every fma rounds once
+/// either way, and the contraction-free build keeps the rest). Callers
+/// must run on an FMA-capable CPU; every vector dispatch level does.
+double SimdPolyExpFma(double x);
 
 }  // namespace udm::kde_internal
 

@@ -254,7 +254,7 @@ Result<double> IndexedPrunedSum(const SpatialIndex& index,
       KernelEvalCounter().Increment(len * dims.size());
       double* out = terms.data() + first;
       sweep(first, len, out);
-      for (size_t i = 0; i < len; ++i) run_max = std::max(run_max, out[i]);
+      run_max = simd.max_term(out, len, run_max);
       Status check = ctx.Check();
       if (!check.ok()) return CountEvalTrip(std::move(check));
     }

@@ -290,33 +290,59 @@ Status SummandDensity::EvalTileDense(std::span<const double> points,
     for (size_t q = 0; q < count; ++q) {
       double* terms = log_terms.data() + q * n + start;
       SweepTerms(points.subspan(q * d, d), dims, start, len, terms);
-      for (size_t i = 0; i < len; ++i) {
-        max_term[q] = std::max(max_term[q], terms[i]);
-      }
+      max_term[q] = simd_->max_term(terms, len, max_term[q]);
     }
     check = ctx.Check();
     if (!check.ok()) return CountEvalTrip(std::move(check));
   }
-  // Pass 2: pruned exp-and-sum against the exact maximum, shifted by it in
-  // log space (log-sum-exp), unshifted in linear space.
   for (size_t q = 0; q < count; ++q) {
-    if (!std::isfinite(max_term[q])) {
-      out[q] = log_space ? kNegInf : 0.0;
-      continue;
+    uint64_t pruned = 0;
+    out[q] = SumTerms(log_terms.data() + q * n, max_term[q], log_space,
+                      pruned);
+    if (pruned != 0) {
+      PrunedTermsCounter().Increment(pruned);
+      if (counters != nullptr) counters->pruned_terms += pruned;
     }
-    ExpSumState state;
-    simd_->pruned_exp_accum(log_terms.data() + q * n, n, max_term[q],
-                            log_space ? max_term[q] : 0.0,
-                            log_prune_threshold_, state);
-    if (state.pruned != 0) {
-      PrunedTermsCounter().Increment(state.pruned);
-      if (counters != nullptr) counters->pruned_terms += state.pruned;
-    }
-    out[q] = log_space
-                 ? max_term[q] + std::log(state.Total()) - log_divisor_
-                 : state.Total() / divisor_;
   }
   return Status::OK();
+}
+
+double SummandDensity::SumTerms(const double* terms, double max_term,
+                                bool log_space, uint64_t& pruned) const {
+  if (!std::isfinite(max_term)) return log_space ? kNegInf : 0.0;
+  ExpSumState state;
+  simd_->pruned_exp_accum(terms, num_points(), max_term,
+                          log_space ? max_term : 0.0, log_prune_threshold_,
+                          state);
+  pruned += state.pruned;
+  return log_space ? max_term + std::log(state.Total()) - log_divisor_
+                   : state.Total() / divisor_;
+}
+
+void SummandDensity::LogEvaluateSingletons(std::span<const double> x,
+                                           std::span<double> out) const {
+  const size_t d = num_dims();
+  UDM_CHECK(x.size() == d && out.size() == d)
+      << "singleton densities: point and output dimension";
+  if (index_.has_value()) {
+    for (size_t j = 0; j < d; ++j) {
+      const size_t dims[] = {j};
+      out[j] = EvaluatePoint(x, dims, /*log_space=*/true);
+    }
+    return;
+  }
+  const size_t n = num_points();
+  double* terms =
+      ScratchArena::ThreadLocal().Doubles(ScratchArena::kLogTerms, n).data();
+  uint64_t pruned = 0;
+  for (size_t j = 0; j < d; ++j) {
+    const size_t dims[] = {j};
+    SweepTerms(x, dims, 0, n, terms);
+    out[j] = SumTerms(terms, simd_->max_term(terms, n, kNegInf),
+                      /*log_space=*/true, pruned);
+  }
+  KernelEvalCounter().Increment(n * d);
+  if (pruned != 0) PrunedTermsCounter().Increment(pruned);
 }
 
 Status SummandDensity::EvalIndexed(std::span<const double> x,

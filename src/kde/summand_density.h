@@ -14,6 +14,7 @@
 /// density estimators; callers use the model entry points.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -51,6 +52,15 @@ class SummandDensity {
   /// allocations in steady state. x.size() must equal num_dims().
   double EvaluatePoint(std::span<const double> x, std::span<const size_t> dims,
                        bool log_space) const;
+
+  /// log-density at `x` over every singleton subspace: out[j] is
+  /// EvaluatePoint(x, {j}, true) bit for bit. Without an index each
+  /// dimension is one sweep, one MaxTerm and one pruned exp-and-sum over
+  /// the whole table through the dense routine's own helpers, and the
+  /// kde.* counters are touched once per call; with an index it runs
+  /// EvaluatePoint per dimension. x and out must have num_dims() entries.
+  void LogEvaluateSingletons(std::span<const double> x,
+                             std::span<double> out) const;
 
   /// The EvalRequest driver (kde/eval.h): index-mode resolution, the
   /// adaptive bypass probe, the tiled parallel batch, and EvalStats.
@@ -91,6 +101,14 @@ class SummandDensity {
                        std::span<const size_t> dims, bool log_space,
                        ExecContext& ctx, ScratchArena& scratch, double* out,
                        IndexedEvalCounters* counters) const;
+
+  /// Pass 2 of the dense routine for one query's materialized terms
+  /// [0, num_points()): the pruned exp-and-sum against their exact maximum
+  /// `max_term`, shifted by it in log space (log-sum-exp) and unshifted in
+  /// linear space, then finalized by the divisor. Adds the pruned-term
+  /// count to `pruned`.
+  double SumTerms(const double* terms, double max_term, bool log_space,
+                  uint64_t& pruned) const;
 
   /// Cell-pruned evaluation of one query through IndexedPrunedSum;
   /// bit-identical to EvalTileDense. Requires an index.

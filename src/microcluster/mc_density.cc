@@ -86,6 +86,11 @@ double McDensityModel::LogEvaluateSubspace(std::span<const double> x,
   return engine_.EvaluatePoint(x, dims, /*log_space=*/true);
 }
 
+void McDensityModel::LogEvaluateSingletons(std::span<const double> x,
+                                           std::span<double> out) const {
+  engine_.LogEvaluateSingletons(x, out);
+}
+
 Result<EvalResult> McDensityModel::Evaluate(const EvalRequest& request) const {
   return engine_.Evaluate(request, "McDensityModel");
 }

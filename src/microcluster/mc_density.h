@@ -51,6 +51,14 @@ class McDensityModel {
   double LogEvaluateSubspace(std::span<const double> x,
                              std::span<const size_t> dims) const;
 
+  /// LogEvaluateSubspace(x, {j}) for every dimension j, into out[j], bit
+  /// for bit — one pass over the table per dimension with the kde.*
+  /// counters touched once per call (kde/summand_density.h). The
+  /// classifier's singleton level reads its k+1 models this way. x and
+  /// out must have num_dims() entries.
+  void LogEvaluateSingletons(std::span<const double> x,
+                             std::span<double> out) const;
+
   /// Batch evaluation behind the unified EvalRequest API (kde/eval.h):
   /// densities — or log-densities with request.log_space — for every
   /// query point, optionally parallel and under an ExecContext.

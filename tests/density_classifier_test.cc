@@ -1,15 +1,20 @@
 #include "classify/density_classifier.h"
 
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "classify/metrics.h"
 #include "common/exec_context.h"
+#include "common/simd.h"
 #include "dataset/synthetic.h"
 #include "error/perturbation.h"
+#include "golden_digest.h"
+#include "obs/metrics.h"
 
 namespace udm {
 namespace {
@@ -260,6 +265,218 @@ TEST(DensityClassifierTest, ErrorAdjustmentHelpsUnderHeavyNoise) {
   }
   EXPECT_GT(adjusted_total / trials, unadjusted_total / trials);
 }
+
+// ---------------------------------------------------------------------------
+// Roll-up observability: the classify.* counters are tallied per Explain.
+
+struct RollUpCounters {
+  uint64_t scored = 0;
+  uint64_t qualified = 0;
+  uint64_t fallbacks = 0;
+};
+
+RollUpCounters ReadRollUpCounters() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  return {registry.GetCounter("classify.subspaces_scored").Value(),
+          registry.GetCounter("classify.subspaces_qualified").Value(),
+          registry.GetCounter("classify.fallbacks").Value()};
+}
+
+/// Noisy 6-dim mixture where some points qualify rules and some fall back.
+UncertainDataset NoisyMixture() {
+  MixtureDatasetSpec spec;
+  spec.num_dims = 6;
+  spec.num_informative_dims = 3;
+  spec.clusters_per_class = 2;
+  spec.class_separation = 4.0;
+  spec.seed = 71;
+  const Dataset clean = MakeMixtureDataset(spec, 800).value();
+  PerturbationOptions perturb;
+  perturb.f = 0.3;
+  perturb.seed = 72;
+  return Perturb(clean, perturb).value();
+}
+
+TEST(DensityClassifierTest, RollUpCountersMatchExplanations) {
+  const UncertainDataset u = NoisyMixture();
+  const size_t d = u.data.NumDims();
+  constexpr size_t kQueries = 80;
+  for (const size_t max_dim : {size_t{1}, size_t{0}}) {
+    DensityBasedClassifier::Options options;
+    options.num_clusters = 40;
+    options.max_subspace_dim = max_dim;
+    const auto classifier =
+        DensityBasedClassifier::Train(u.data, u.errors, options).value();
+    const RollUpCounters before = ReadRollUpCounters();
+    uint64_t rules = 0;
+    uint64_t fallbacks = 0;
+    for (size_t i = 0; i < kQueries; ++i) {
+      const auto explanation = classifier.Explain(u.data.Row(i)).value();
+      rules += explanation.selected.size();
+      fallbacks += explanation.used_fallback ? 1 : 0;
+    }
+    const RollUpCounters after = ReadRollUpCounters();
+    const uint64_t scored = after.scored - before.scored;
+    const uint64_t qualified = after.qualified - before.qualified;
+    EXPECT_GT(rules, 0u) << "fixture must qualify some rules";
+    EXPECT_GT(fallbacks, 0u) << "fixture must fall back somewhere";
+    EXPECT_EQ(after.fallbacks - before.fallbacks, fallbacks);
+    if (max_dim == 1) {
+      // Singletons only: every Explain scores all d of them, and every
+      // qualifying singleton is selected (singletons never overlap).
+      EXPECT_EQ(scored, kQueries * d);
+      EXPECT_EQ(qualified, rules);
+    } else {
+      // Deeper levels add candidates; selection drops overlapping ones.
+      EXPECT_GT(scored, kQueries * d);
+      EXPECT_GE(qualified, rules);
+      EXPECT_LE(qualified, scored);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned roll-up outputs: the golden ionosphere-like workload (q=140, the
+// `classify` benchmark's shape), with one classifier per SIMD level. The
+// expected values were recorded before the singleton fast path landed.
+
+constexpr size_t kGoldenRows = 2400;
+constexpr size_t kGoldenTrainRows = 2000;
+
+const DensityBasedClassifier& GoldenClassifier(SimdLevel level) {
+  static std::map<SimdLevel, DensityBasedClassifier>* cache =
+      new std::map<SimdLevel, DensityBasedClassifier>();
+  auto it = cache->find(level);
+  if (it == cache->end()) {
+    const UncertainDataset u = golden::IonosphereLike(kGoldenRows);
+    std::vector<size_t> train(kGoldenTrainRows);
+    for (size_t i = 0; i < train.size(); ++i) train[i] = i;
+    DensityBasedClassifier::Options options;
+    options.num_clusters = 140;
+    options.density.simd = level == SimdLevel::kAvx512 ? SimdRequest::kAvx512
+                           : level == SimdLevel::kAvx2 ? SimdRequest::kAvx2
+                                                       : SimdRequest::kScalar;
+    it = cache
+             ->emplace(level, DensityBasedClassifier::Train(
+                                  u.data.Select(train),
+                                  u.errors.Select(train), options)
+                                  .value())
+             .first;
+  }
+  return it->second;
+}
+
+/// Every bit of an Explanation that a fast path could move.
+void AddExplanation(const DensityBasedClassifier::Explanation& e,
+                    golden::Digest& digest) {
+  digest.U64(static_cast<uint64_t>(e.predicted));
+  digest.U64(e.used_fallback ? 1 : 0);
+  digest.U64(static_cast<uint64_t>(e.stop_cause));
+  digest.U64(e.selected.size());
+  for (const DensityBasedClassifier::Rule& rule : e.selected) {
+    digest.U64(static_cast<uint64_t>(rule.label));
+    digest.Double(rule.log_accuracy);
+    digest.U64(rule.dims.size());
+    for (const size_t dim : rule.dims) digest.U64(dim);
+  }
+}
+
+class RollUpGoldenTest : public ::testing::TestWithParam<SimdLevel> {
+ protected:
+  void SetUp() override {
+    if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
+    if (GetParam() > DetectBestSimdLevel()) {
+      GTEST_SKIP() << "host CPU lacks the " << SimdLevelName(GetParam())
+                   << " level";
+    }
+  }
+};
+
+TEST_P(RollUpGoldenTest, ExplanationsMatchGoldenDigest) {
+  const UncertainDataset u = golden::IonosphereLike(kGoldenRows);
+  const DensityBasedClassifier& classifier = GoldenClassifier(GetParam());
+  golden::Digest digest;
+  size_t correct = 0;
+  for (size_t i = kGoldenTrainRows; i < kGoldenRows; ++i) {
+    const auto explanation = classifier.Explain(u.data.Row(i)).value();
+    AddExplanation(explanation, digest);
+    correct += explanation.predicted == u.data.Label(i) ? 1 : 0;
+  }
+  EXPECT_GT(correct, (kGoldenRows - kGoldenTrainRows) * 8 / 10);
+  // Scalar sums exps with std::exp and Kahan; both vector levels run the
+  // polynomial exp with a plain fold, and agree here.
+  const char* const kExpected[] = {"0x98af2aa200821772", "0x3f3faff0be8d245c",
+                                   "0x3f3faff0be8d245c"};
+  EXPECT_EQ(golden::Hex(digest.value()),
+            kExpected[static_cast<size_t>(GetParam())])
+      << "level " << SimdLevelName(GetParam());
+}
+
+/// One rung of the budget ladder: Explain of one held-out point under
+/// ExecBudget{max_kernel_evals = budget}.
+struct LadderRung {
+  size_t row;
+  uint64_t budget;
+  int predicted;
+  bool used_fallback;
+  StopCause stop_cause;
+  size_t rules;
+  uint64_t kernel_evals;
+};
+
+TEST_P(RollUpGoldenTest, BudgetLadderIsPinned) {
+  // One subspace dimension costs (k+1)·q = 420 kernel evals, so the
+  // singleton level costs 34·420 = 14280, and the Bayes fallback charges
+  // 34·280 = 9520 more whatever the budget. Row 2000 completes a deep
+  // roll-up at 45780; row 2022 qualifies nothing and falls back. The
+  // budgets stop before, inside and at the end of level 1, inside deeper
+  // levels, one eval short of completion, and not at all.
+  const LadderRung kLadder[] = {
+      {2000, 1, 0, true, StopCause::kBudget, 0, 9940},
+      {2000, 420, 0, true, StopCause::kBudget, 0, 10360},
+      {2000, 5000, 0, false, StopCause::kBudget, 4, 5040},
+      {2000, 14280, 0, false, StopCause::kBudget, 5, 15120},
+      {2000, 14281, 0, false, StopCause::kBudget, 5, 15120},
+      {2000, 20000, 0, false, StopCause::kBudget, 3, 20160},
+      {2000, 30000, 0, false, StopCause::kBudget, 3, 30240},
+      {2000, 45779, 0, false, StopCause::kBudget, 3, 45780},
+      {2000, 45780, 0, false, StopCause::kCompleted, 3, 45780},
+      {2000, 0, 0, false, StopCause::kCompleted, 3, 45780},
+      {2022, 5000, 1, true, StopCause::kBudget, 0, 14560},
+      {2022, 14280, 1, true, StopCause::kCompleted, 0, 23800},
+      {2022, 0, 1, true, StopCause::kCompleted, 0, 23800},
+  };
+  const UncertainDataset u = golden::IonosphereLike(kGoldenRows);
+  const DensityBasedClassifier& classifier = GoldenClassifier(GetParam());
+  golden::Digest rules_digest;
+  for (const LadderRung& rung : kLadder) {
+    ExecBudget budget;
+    budget.max_kernel_evals = rung.budget;
+    ExecContext ctx(Deadline::Infinite(), {}, budget);
+    const auto e = classifier.Explain(u.data.Row(rung.row), ctx).value();
+    const std::string where = "row " + std::to_string(rung.row) +
+                              " budget " + std::to_string(rung.budget);
+    EXPECT_EQ(e.predicted, rung.predicted) << where;
+    EXPECT_EQ(e.used_fallback, rung.used_fallback) << where;
+    EXPECT_EQ(e.stop_cause, rung.stop_cause) << where;
+    EXPECT_EQ(e.selected.size(), rung.rules) << where;
+    EXPECT_EQ(ctx.kernel_evals_spent(), rung.kernel_evals) << where;
+    AddExplanation(e, rules_digest);
+  }
+  const char* const kExpected[] = {"0xd245ad2810d22524", "0xb0dda2a534fcd2fb",
+                                   "0xb0dda2a534fcd2fb"};
+  EXPECT_EQ(golden::Hex(rules_digest.value()),
+            kExpected[static_cast<size_t>(GetParam())])
+      << "level " << SimdLevelName(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, RollUpGoldenTest,
+                         ::testing::Values(SimdLevel::kScalar,
+                                           SimdLevel::kAvx2,
+                                           SimdLevel::kAvx512),
+                         [](const auto& info) {
+                           return std::string(SimdLevelName(info.param));
+                         });
 
 }  // namespace
 }  // namespace udm

@@ -5,8 +5,12 @@
 // and assert the fast path matches to <= 1e-12 relative error — across
 // both kernel normalizations, subspaces, psi = 0 degenerate rows, and
 // the log-sum-exp pruning opt-out.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -519,6 +523,158 @@ TEST(SimdDispatchTest, ForcedLevelModelsMatchScalarModel) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Roll-up fast-path primitives: the dispatched running max, the FMA build
+// of the scalar polynomial exp, and the one-pass singleton densities. Each
+// must reproduce its reference bit for bit.
+
+class LevelTest : public ::testing::TestWithParam<SimdLevel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > DetectBestSimdLevel()) {
+      GTEST_SKIP() << "host CPU lacks the " << SimdLevelName(GetParam())
+                   << " level";
+    }
+  }
+};
+
+/// The reference fold MaxTerm must equal: std::max(m, t) in term order.
+double FoldMax(const std::vector<double>& terms, double init) {
+  double m = init;
+  for (const double t : terms) m = std::max(m, t);
+  return m;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST_P(LevelTest, MaxTermMatchesScalarFoldBitwise) {
+  const auto& dispatch = kde_internal::GetSimdDispatch(GetParam());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Special values mixed with ordinary negatives: NaN must never win,
+  // and the sign of a zero maximum is the first zero's in fold order.
+  const double specials[] = {kNaN, kInf, -kInf, 0.0, -0.0, -1.5, -1e300, 2.0};
+  Rng rng(94);
+  const size_t lanes = 8;  // the widest level; covers the 4-wide one too
+  for (size_t n = 0; n <= 2 * lanes + 1; ++n) {
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<double> terms(n);
+      for (double& t : terms) {
+        t = rng.Uniform() < 0.5 ? specials[rng.UniformInt(8)]
+                                : -std::fabs(rng.Gaussian(0.0, 30.0));
+      }
+      // Runs of signed zeros with nothing larger exercise the sign rule.
+      if (trial % 4 == 0) {
+        for (double& t : terms) {
+          if (t > 0.0 || std::isnan(t)) t = rng.Uniform() < 0.5 ? 0.0 : -0.0;
+        }
+      }
+      for (const double init : {-kInf, 0.0, -0.0, -3.0, kNaN}) {
+        const double want = FoldMax(terms, init);
+        const double got = dispatch.max_term(terms.data(), n, init);
+        if (std::isnan(want)) {
+          EXPECT_TRUE(std::isnan(got)) << "n=" << n << " init=" << init;
+        } else {
+          EXPECT_EQ(Bits(got), Bits(want))
+              << "n=" << n << " init=" << init << " want=" << want
+              << " got=" << got;
+        }
+      }
+    }
+  }
+  // Long random arrays, split into ragged runs that carry the max along.
+  for (const size_t n : {size_t{140}, size_t{1003}}) {
+    std::vector<double> terms(n);
+    for (double& t : terms) t = rng.Gaussian(-40.0, 25.0);
+    double chained = -kInf;
+    for (size_t i = 0; i < n; i += 37) {
+      chained = dispatch.max_term(terms.data() + i, std::min<size_t>(37, n - i),
+                                  chained);
+    }
+    EXPECT_EQ(Bits(chained), Bits(FoldMax(terms, -kInf))) << "n=" << n;
+    EXPECT_EQ(Bits(dispatch.max_term(terms.data(), n, -kInf)),
+              Bits(FoldMax(terms, -kInf)));
+  }
+}
+
+TEST(SimdDispatchTest, FmaPolyExpMatchesPortableReferenceBitwise) {
+  if (DetectBestSimdLevel() < SimdLevel::kAvx2) {
+    GTEST_SKIP() << "host CPU lacks FMA (no vector level runs here, so "
+                    "nothing calls the FMA build)";
+  }
+  const auto expect_same = [](double x) {
+    const double want = kde_internal::SimdPolyExp(x);
+    const double got = kde_internal::SimdPolyExpFma(x);
+    if (std::isnan(want)) {
+      ASSERT_TRUE(std::isnan(got)) << "x=" << x;
+    } else {
+      ASSERT_EQ(Bits(got), Bits(want)) << "x=" << x;
+    }
+  };
+  Rng rng(95);
+  for (int i = 0; i < 1000000; ++i) {
+    // Half across the whole range, half where log-sum-exp shifts live.
+    const double x = (i & 1) ? -745.0 + 1460.0 * rng.Uniform()
+                             : -40.0 * rng.Uniform();
+    expect_same(x);
+  }
+  // k-rounding boundaries: x·log2e within ±50 ulp of every half-integer
+  // j + 1/2, where the magic-number round picks between two k.
+  for (int j = -1024; j <= 1024; ++j) {
+    double x = (j + 0.5) * 0.6931471805599453;
+    for (int step = 0; step < 50; ++step) x = std::nextafter(x, -1e308);
+    for (int step = 0; step <= 100; ++step) {
+      expect_same(x);
+      x = std::nextafter(x, 1e308);
+    }
+  }
+  for (const double x : {0.0, -0.0, -708.0, -708.0000000000001, 709.78, 710.0,
+                         800.0, std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    expect_same(x);
+  }
+}
+
+TEST_P(LevelTest, LogEvaluateSingletonsMatchesPerDimensionCalls) {
+  const Dataset clean = MakeForestCoverLike(4000, 4).value();
+  PerturbationOptions perturb;
+  perturb.f = 1.2;
+  const UncertainDataset u = Perturb(clean, perturb).value();
+  const size_t d = clean.NumDims();
+  // q = 140 stays below the index's min_points; q = 600 builds one and
+  // takes the per-dimension fallback.
+  for (const size_t q : {size_t{140}, size_t{600}}) {
+    MicroClusterer::Options mc;
+    mc.num_clusters = q;
+    const auto clusters = BuildMicroClusters(u.data, u.errors, mc).value();
+    DensityEvalOptions options;
+    options.simd = GetParam() == SimdLevel::kAvx512 ? SimdRequest::kAvx512
+                   : GetParam() == SimdLevel::kAvx2 ? SimdRequest::kAvx2
+                                                    : SimdRequest::kScalar;
+    const McDensityModel model = McDensityModel::Build(clusters, options).value();
+    ASSERT_EQ(model.has_index(), q >= options.index.min_points) << "q=" << q;
+    std::vector<double> out(d);
+    for (size_t row = 0; row < 200; row += 7) {
+      const std::span<const double> x = u.data.Row(row);
+      model.LogEvaluateSingletons(x, out);
+      for (size_t j = 0; j < d; ++j) {
+        const size_t dims[] = {j};
+        EXPECT_EQ(Bits(out[j]), Bits(model.LogEvaluateSubspace(x, dims)))
+            << "q=" << q << " row=" << row << " dim=" << j;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, LevelTest,
+                         ::testing::Values(SimdLevel::kScalar,
+                                           SimdLevel::kAvx2,
+                                           SimdLevel::kAvx512),
+                         [](const auto& info) {
+                           return std::string(SimdLevelName(info.param));
+                         });
 
 }  // namespace
 }  // namespace udm

@@ -1,10 +1,12 @@
 #ifndef UDM_TESTS_GOLDEN_DIGEST_H_
 #define UDM_TESTS_GOLDEN_DIGEST_H_
 
-// Golden byte-identity digests for the Eq. 5 assignment callers. The
+// Golden byte-identity digests. For the Eq. 5 assignment callers the
 // expected values in the tests were recorded from the scalar row-major
 // argmin loops that the SoA centroid table replaced; every SIMD level of
-// the table must reproduce them bit for bit (DESIGN.md §4k).
+// the table must reproduce them bit for bit (DESIGN.md §4k). For the
+// roll-up classifier they were recorded, one per SIMD level, before the
+// singleton fast path landed; the fast path must reproduce every rule bit.
 
 #include <bit>
 #include <cstdint>
@@ -83,6 +85,17 @@ inline UncertainDataset ForestLike(size_t n, uint64_t seed = 4) {
   PerturbationOptions perturb;
   perturb.f = 1.2;
   perturb.seed = 15;
+  return Perturb(clean, perturb).value();
+}
+
+/// The golden classifier workload: ionosphere-like rows (d=34, 2 classes)
+/// with the paper's per-entry perturbation at f=0.6 — the `classify`
+/// benchmark's data (Fig. 10 setting) at a test-sized N.
+inline UncertainDataset IonosphereLike(size_t n) {
+  const Dataset clean = MakeIonosphereLike(n, /*seed=*/2).value();
+  PerturbationOptions perturb;
+  perturb.f = 0.6;
+  perturb.seed = 9;
   return Perturb(clean, perturb).value();
 }
 
