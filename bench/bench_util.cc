@@ -8,6 +8,7 @@
 
 #include "classify/experiment.h"
 #include "common/logging.h"
+#include "common/number_text.h"
 #include "common/parallel.h"
 #include "common/simd.h"
 #include "common/random.h"
@@ -159,14 +160,11 @@ void PrintTable(const std::string& x_label, const std::vector<double>& xs,
     table.columns.push_back(x_label);
     for (const Series& s : series) table.columns.push_back(s.name);
     for (size_t i = 0; i < xs.size(); ++i) {
-      std::vector<std::string> row;
-      char cell[64];
-      std::snprintf(cell, sizeof(cell), "%.17g", xs[i]);
-      row.push_back(cell);
+      std::vector<std::string> row(1);
+      AppendDouble(row.back(), xs[i]);
       for (const Series& s : series) {
         if (i < s.y.size()) {
-          std::snprintf(cell, sizeof(cell), "%.17g", s.y[i]);
-          row.push_back(cell);
+          AppendDouble(row.emplace_back(), s.y[i]);
         } else {
           row.push_back("-");
         }

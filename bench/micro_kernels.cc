@@ -7,9 +7,12 @@
 #include <limits>
 #include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/crc32.h"
+#include "common/number_text.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "dataset/uci_like.h"
@@ -108,6 +111,58 @@ void BM_MaxTerm(benchmark::State& state) {
   state.SetLabel(udm::SimdLevelName(dispatch.level));
 }
 BENCHMARK(BM_MaxTerm)->Arg(0)->Arg(1)->Arg(2);
+
+// The number codec of every text format (common/number_text.h) and the
+// CRC footer, over the doubles of one fit-workload shard checkpoint's
+// cluster block: 140 clusters x 3 x 10 sums of summary-scale magnitude.
+std::vector<double> CheckpointDoubles() {
+  udm::Rng rng(23);
+  std::vector<double> values(4200);
+  for (double& v : values) v = rng.Gaussian(0.0, 1.0) * 1e3;
+  return values;
+}
+
+void BM_AppendDouble(benchmark::State& state) {
+  const std::vector<double> values = CheckpointDoubles();
+  std::string text;
+  for (auto _ : state) {
+    text.clear();
+    for (double v : values) {
+      udm::AppendDouble(text, v);
+      text += ' ';
+    }
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetItemsProcessed(state.iterations() * values.size());
+}
+BENCHMARK(BM_AppendDouble);
+
+void BM_ParseDouble(benchmark::State& state) {
+  std::vector<std::string> tokens;
+  for (double v : CheckpointDoubles()) {
+    udm::AppendDouble(tokens.emplace_back(), v);
+  }
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (const std::string& token : tokens) sum += *udm::ParseDouble(token);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * tokens.size());
+}
+BENCHMARK(BM_ParseDouble);
+
+// Items are bytes; 82000 is one fit-workload shard checkpoint.
+void BM_Crc32(benchmark::State& state) {
+  std::string data;
+  for (double v : CheckpointDoubles()) {
+    udm::AppendDouble(data, v);
+    data += ' ';
+  }
+  data.resize(static_cast<size_t>(state.range(0)), '0');
+  for (auto _ : state) benchmark::DoNotOptimize(udm::Crc32(data));
+  state.SetItemsProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_Crc32)->Arg(82000);
 
 void BM_ErrorKernelValue(benchmark::State& state) {
   udm::Rng rng(1);

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/number_text.h"
+
 namespace udm {
 
 namespace {
@@ -29,8 +31,8 @@ std::vector<std::string> SplitLine(const std::string& line, char delimiter) {
 /// Parses one feature cell. `row` and `column` are 1-based file
 /// coordinates (the row count includes the header line, matching what an
 /// editor shows), so an error message points at the exact offending cell.
-Result<double> ParseDouble(const std::string& text, size_t row,
-                           size_t column) {
+Result<double> ParseCell(const std::string& text, size_t row,
+                         size_t column) {
   const std::string where =
       "row " + std::to_string(row) + ", column " + std::to_string(column);
   errno = 0;
@@ -135,7 +137,7 @@ Result<Dataset> ReadCsvString(const std::string& content,
         label = it->second;
       } else {
         UDM_ASSIGN_OR_RETURN(const double value,
-                             ParseDouble(fields[j], line_no, j + 1));
+                             ParseCell(fields[j], line_no, j + 1));
         row.push_back(value);
       }
     }
@@ -175,11 +177,16 @@ Status WriteCsv(const Dataset& dataset, const std::string& path,
     }
     out << "label\n";
   }
-  out.precision(17);
+  std::string line;
   for (size_t i = 0; i < dataset.NumRows(); ++i) {
-    const auto row = dataset.Row(i);
-    for (double v : row) out << v << options.delimiter;
-    out << dataset.Label(i) << "\n";
+    line.clear();
+    for (double v : dataset.Row(i)) {
+      AppendDouble(line, v);
+      line += options.delimiter;
+    }
+    line += std::to_string(dataset.Label(i));
+    line += '\n';
+    out << line;
   }
   if (!out) return Status::IoError("write failed for '" + path + "'");
   return Status::OK();

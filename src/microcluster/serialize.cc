@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <string_view>
 
 #include "common/crc32.h"
+#include "common/number_text.h"
 
 namespace udm {
 
@@ -46,7 +46,7 @@ bool ReadCount(std::istream& in, uint64_t* out) {
 /// computed from the summary.
 bool ReadFinite(std::istream& in, double* out) {
   double v;
-  if (!(in >> v) || !std::isfinite(v)) return false;
+  if (!ReadDouble(in, &v) || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
@@ -89,20 +89,23 @@ std::string SerializeMicroClusters(std::span<const MicroCluster> clusters,
                                    int version) {
   UDM_CHECK(version == 1 || version == 2)
       << "SerializeMicroClusters: unsupported version " << version;
-  std::ostringstream out;
-  out << std::setprecision(17);
   const size_t d = clusters.empty() ? 0 : clusters[0].NumDims();
-  out << kMagic << " " << version << "\n";
-  out << "dims " << d << " clusters " << clusters.size() << "\n";
+  std::string text = std::string(kMagic) + " " + std::to_string(version) +
+                     "\ndims " + std::to_string(d) + " clusters " +
+                     std::to_string(clusters.size()) + "\n";
+  // "%.17g" is at most 24 bytes; most values print near that width.
+  text.reserve(text.size() + clusters.size() * (3 * d * 25 + 24) + 16);
   for (const MicroCluster& c : clusters) {
     UDM_CHECK(c.NumDims() == d) << "SerializeMicroClusters: mixed dims";
-    out << c.Count();
-    for (double v : c.cf1()) out << " " << v;
-    for (double v : c.cf2()) out << " " << v;
-    for (double v : c.ef2()) out << " " << v;
-    out << "\n";
+    text += std::to_string(c.Count());
+    for (std::span<const double> column : {c.cf1(), c.cf2(), c.ef2()}) {
+      for (double v : column) {
+        text += ' ';
+        AppendDouble(text, v);
+      }
+    }
+    text += '\n';
   }
-  std::string text = out.str();
   if (version >= 2) {
     text += std::string(kCrcKey) + " " + Crc32Hex(Crc32(text)) + "\n";
   }

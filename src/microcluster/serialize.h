@@ -17,8 +17,8 @@ namespace udm {
 /// downstream density work. Saving them means "train once on the stream,
 /// classify anywhere later" without revisiting the raw data.
 ///
-/// Format (version-tagged, line-oriented text; doubles round-trip via
-/// max_digits10):
+/// Format (version-tagged, line-oriented text; doubles are `%.17g` text
+/// from common/number_text.h, which round-trips every finite value):
 ///
 ///   udm-microclusters <version>
 ///   dims <d> clusters <m>

@@ -3,20 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+
+#include "common/number_text.h"
 
 namespace udm::obs {
-
-namespace {
-
-/// Formats a double with enough digits to round-trip, as valid JSON.
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-}  // namespace
 
 std::string JsonEscape(std::string_view value) {
   std::string out;
@@ -112,7 +103,7 @@ JsonWriter& JsonWriter::Number(double value) {
   if (!std::isfinite(value)) return Null();
   BeforeValue();
   if (!has_sibling_.empty()) has_sibling_.back() = true;
-  out_ += FormatDouble(value);
+  AppendDouble(out_, value);
   return *this;
 }
 
@@ -296,7 +287,7 @@ Result<JsonValue> Parser::ParseValue(int depth) {
   if (ConsumeLiteral("true")) return JsonValue::MakeBool(true);
   if (ConsumeLiteral("false")) return JsonValue::MakeBool(false);
 
-  // Number: delegate to strtod over the longest plausible span.
+  // Number: strtod semantics over the longest plausible span.
   const size_t start = pos_;
   while (pos_ < text_.size() &&
          (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
@@ -305,11 +296,10 @@ Result<JsonValue> Parser::ParseValue(int depth) {
     ++pos_;
   }
   if (pos_ == start) return Error("unexpected character");
-  const std::string token(text_.substr(start, pos_ - start));
-  char* end = nullptr;
-  const double number = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return Error("bad number");
-  return JsonValue::MakeNumber(number);
+  const std::optional<double> number =
+      ParseDouble(text_.substr(start, pos_ - start));
+  if (!number) return Error("bad number");
+  return JsonValue::MakeNumber(*number);
 }
 
 }  // namespace

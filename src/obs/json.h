@@ -51,7 +51,8 @@ std::string JsonEscape(std::string_view value);
 /// implementation (bounded depth, no exceptions) that exists so the CLI
 /// `stats` subcommand and the RunReport schema checker can read the
 /// documents the writer produces — it is not a general-purpose JSON
-/// library (no \u surrogate pairs, numbers parsed via strtod).
+/// library (no \u surrogate pairs; numbers parse with strtod semantics
+/// through common/number_text.h).
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -2,8 +2,9 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "common/number_text.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
 
@@ -11,21 +12,18 @@ namespace udm::obs {
 
 namespace {
 
-/// True when `cell` parses fully as a JSON-compatible number, so table
-/// cells like "0.125" can be emitted unquoted.
-bool LooksNumeric(const std::string& cell) {
-  if (cell.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(cell.c_str(), &end);
-  (void)value;
-  if (end != cell.c_str() + cell.size()) return false;
+/// The value of `cell` when it parses fully as a JSON-compatible number,
+/// so table cells like "0.125" can be emitted unquoted.
+std::optional<double> NumericCell(const std::string& cell) {
+  const std::optional<double> value = ParseDouble(cell);
+  if (!value) return std::nullopt;
   // strtod accepts "inf"/"nan", which JSON numbers cannot express.
   for (char c : cell) {
     if (std::isalpha(static_cast<unsigned char>(c)) && c != 'e' && c != 'E') {
-      return false;
+      return std::nullopt;
     }
   }
-  return true;
+  return value;
 }
 
 }  // namespace
@@ -136,8 +134,8 @@ std::string RunReport::ToJson() const {
     for (const auto& row : table.rows) {
       writer.BeginArray();
       for (const std::string& cell : row) {
-        if (LooksNumeric(cell)) {
-          writer.Number(std::strtod(cell.c_str(), nullptr));
+        if (const std::optional<double> number = NumericCell(cell)) {
+          writer.Number(*number);
         } else {
           writer.String(cell);
         }

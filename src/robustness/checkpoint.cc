@@ -9,11 +9,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <string_view>
 
 #include "common/crc32.h"
+#include "common/number_text.h"
 #include "common/stopwatch.h"
 #include "microcluster/serialize.h"
 #include "obs/metrics.h"
@@ -113,39 +113,48 @@ Status FsyncDirectory(const std::string& dir) {
 std::string SerializeCheckpoint(const StreamSummarizer& summarizer,
                                 uint64_t cursor) {
   const StreamSummarizer::State state = summarizer.ExportState();
-  std::ostringstream out;
-  out << std::setprecision(17);
-  out << kMagic << " " << kCheckpointVersion << "\n";
-  out << "cursor " << cursor << "\n";
-  out << "dims " << state.num_dims << "\n";
-  out << "options num_clusters " << state.options.num_clusters
-      << " distance " << static_cast<int>(state.options.distance)
-      << " enforce_monotonic_time "
-      << (state.options.enforce_monotonic_time ? 1 : 0) << " policy "
-      << static_cast<int>(state.options.policy) << "\n";
-  out << "last_timestamp " << state.last_timestamp << "\n";
-  const IngestStats& s = state.stats;
-  out << "stats " << s.records_ok << " " << s.records_repaired << " "
-      << s.records_quarantined << " " << s.records_rejected << " "
-      << s.dimension_mismatches << " " << s.out_of_order_timestamps << " "
-      << s.non_finite_values << " " << s.negative_errors << "\n";
-  // v3: IngestBatch backpressure counters; v4 appends the replay total.
-  out << "backpressure " << s.records_deferred << " "
-      << s.batch_deadline_deferrals << " " << s.records_replayed << "\n";
-  out << "repair-sums";
-  for (double v : state.repair_sums) out << " " << v;
-  out << "\nrepair-counts";
-  for (uint64_t v : state.repair_counts) out << " " << v;
-  out << "\ntimestats " << state.time_stats.size() << "\n";
-  for (const StreamSummarizer::TimeStats& ts : state.time_stats) {
-    out << ts.first_timestamp << " " << ts.last_timestamp << "\n";
-  }
   // The micro-cluster block rides along in the v2 summary format (with its
   // own CRC footer) as a length-prefixed blob.
   const std::string clusters =
       SerializeMicroClusters(state.clusters, kSerializeVersionLatest);
-  out << "clusters " << clusters.size() << "\n" << clusters;
-  std::string text = out.str();
+  const auto u64 = [](uint64_t v) { return std::to_string(v); };
+  const IngestStats& s = state.stats;
+  std::string text;
+  // Each dimension and time-stats line takes at most 46 bytes of text.
+  text.reserve(512 + 64 * (state.num_dims + state.time_stats.size()) +
+               clusters.size());
+  text += std::string(kMagic) + " " + std::to_string(kCheckpointVersion) +
+          "\n";
+  text += "cursor " + u64(cursor) + "\n";
+  text += "dims " + u64(state.num_dims) + "\n";
+  text += "options num_clusters " + u64(state.options.num_clusters) +
+          " distance " +
+          std::to_string(static_cast<int>(state.options.distance)) +
+          " enforce_monotonic_time " +
+          (state.options.enforce_monotonic_time ? "1" : "0") + " policy " +
+          std::to_string(static_cast<int>(state.options.policy)) + "\n";
+  text += "last_timestamp " + u64(state.last_timestamp) + "\n";
+  text += "stats " + u64(s.records_ok) + " " + u64(s.records_repaired) +
+          " " + u64(s.records_quarantined) + " " + u64(s.records_rejected) +
+          " " + u64(s.dimension_mismatches) + " " +
+          u64(s.out_of_order_timestamps) + " " + u64(s.non_finite_values) +
+          " " + u64(s.negative_errors) + "\n";
+  // v3: IngestBatch backpressure counters; v4 appends the replay total.
+  text += "backpressure " + u64(s.records_deferred) + " " +
+          u64(s.batch_deadline_deferrals) + " " + u64(s.records_replayed) +
+          "\nrepair-sums";
+  for (double v : state.repair_sums) {
+    text += ' ';
+    AppendDouble(text, v);
+  }
+  text += "\nrepair-counts";
+  for (uint64_t v : state.repair_counts) text += " " + u64(v);
+  text += "\ntimestats " + u64(state.time_stats.size()) + "\n";
+  for (const StreamSummarizer::TimeStats& ts : state.time_stats) {
+    text += u64(ts.first_timestamp) + " " + u64(ts.last_timestamp) + "\n";
+  }
+  text += "clusters " + u64(clusters.size()) + "\n";
+  text += clusters;
   text += std::string(kCrcKey) + " " + Crc32Hex(Crc32(text)) + "\n";
   return text;
 }
@@ -245,7 +254,9 @@ Result<DecodedCheckpoint> DeserializeCheckpoint(const std::string& text) {
   if (!(in >> key) || key != "repair-sums") return Malformed("repair-sums");
   state.repair_sums.resize(dims);
   for (double& v : state.repair_sums) {
-    if (!(in >> v) || !std::isfinite(v)) return Malformed("repair-sums entry");
+    if (!ReadDouble(in, &v) || !std::isfinite(v)) {
+      return Malformed("repair-sums entry");
+    }
   }
   if (!(in >> key) || key != "repair-counts") {
     return Malformed("repair-counts");
@@ -372,7 +383,18 @@ Status CheckpointManager::SaveOnce(const StreamSummarizer& summarizer,
     return Status::IoError(
         "CheckpointManager: injected transient I/O fault (save)");
   }
-  const std::string payload = SerializeCheckpoint(summarizer, cursor);
+  std::string payload;
+  {
+    // Formatting and durable I/O are separate spans so a RunReport splits
+    // the save between them.
+    UDM_TRACE_SPAN("checkpoint.serialize");
+    Stopwatch watch;
+    payload = SerializeCheckpoint(summarizer, cursor);
+    static obs::Histogram& seconds =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "checkpoint.serialize.seconds");
+    seconds.Record(watch.ElapsedSeconds());
+  }
   const fs::path dir(options_.directory);
   const std::string name =
       std::string(kStemPrefix) + std::to_string(next_sequence_);
@@ -394,18 +416,21 @@ Status CheckpointManager::SaveOnce(const StreamSummarizer& summarizer,
         "committed at '" + final_path.string() + "')");
   }
 
-  UDM_RETURN_IF_ERROR(WriteFileDurably(tmp.string(), payload));
   std::error_code ec;
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return Status::IoError("CheckpointManager: rename to '" +
-                           final_path.string() + "' failed");
+  {
+    UDM_TRACE_SPAN("checkpoint.write_durable");
+    UDM_RETURN_IF_ERROR(WriteFileDurably(tmp.string(), payload));
+    fs::rename(tmp, final_path, ec);
+    if (ec) {
+      fs::remove(tmp, ec);
+      return Status::IoError("CheckpointManager: rename to '" +
+                             final_path.string() + "' failed");
+    }
+    // The rename only exists once the parent directory's inode is on disk;
+    // without this a recovered shard can find its newest checkpoint
+    // vanished after a simulated crash (tested in checkpoint_test.cc).
+    UDM_RETURN_IF_ERROR(FsyncDirectory(options_.directory));
   }
-  // The rename only exists once the parent directory's inode is on disk;
-  // without this a recovered shard can find its newest checkpoint vanished
-  // after a simulated crash (tested in checkpoint_test.cc).
-  UDM_RETURN_IF_ERROR(FsyncDirectory(options_.directory));
   ++next_sequence_;
   // Prune only after the new generation is durable.
   const std::vector<std::string> existing = ListCheckpoints();

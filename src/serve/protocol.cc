@@ -1,9 +1,10 @@
 #include "serve/protocol.h"
 
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "common/number_text.h"
 #include "obs/json.h"
 
 namespace udm::serve {
@@ -33,10 +34,9 @@ void WriteId(JsonWriter& writer, const std::string& id_json) {
       writer.String(id_json.substr(1, id_json.size() - 2));
     }
   } else {
-    char* end = nullptr;
-    const double value = std::strtod(id_json.c_str(), &end);
-    if (end != id_json.c_str() && *end == '\0' && std::isfinite(value)) {
-      writer.Number(value);
+    const std::optional<double> value = ParseDouble(id_json);
+    if (value && std::isfinite(*value)) {
+      writer.Number(*value);
     } else {
       writer.String(id_json);
     }

@@ -104,12 +104,13 @@ struct ShardedSummarizerOptions {
   /// short reads (checkpoint paths) and ShardCrashSite crash points. Not
   /// owned; must outlive the summarizer.
   FaultInjector* io_faults = nullptr;
-  /// Worker width for the per-shard drain (0/1 = serial; N > 1 drains up
-  /// to N shards concurrently on the shared ThreadPool). Routing and
-  /// merge stay deterministic at any width. Ignored (forced serial) while
-  /// `io_faults` is set: the injector's arm/consume counters are not
-  /// thread-safe, and fault-injection tests need deterministic fault
-  /// placement anyway.
+  /// Worker width for the per-shard drain in IngestBatch, and only the
+  /// drain (0/1 = serial; N > 1 drains up to N shards concurrently on the
+  /// shared ThreadPool). CheckpointAll always saves every shard
+  /// concurrently. Routing and merge stay deterministic at any width.
+  /// Ignored (forced serial) while `io_faults` is set, as is CheckpointAll's
+  /// concurrency: the injector's arm/consume counters are not thread-safe,
+  /// and fault-injection tests need deterministic fault placement anyway.
   size_t threads = 0;
 };
 
@@ -183,7 +184,9 @@ class ShardedSummarizer {
   Status RecoverShards(ExecContext& ctx);
 
   /// Forces a checkpoint save on every healthy shard (also trims their
-  /// replay logs). Returns the first failure; the failing shard is
+  /// replay logs). The saves run concurrently, one shard per worker, except
+  /// while `io_faults` is set; the files are byte-identical either way.
+  /// Returns the lowest-index shard's failure; the failing shard is
   /// quarantined exactly as a periodic-save failure would.
   Status CheckpointAll();
 

@@ -1,5 +1,7 @@
 #include "common/crc32.h"
 
+#include <array>
+#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -51,6 +53,44 @@ TEST(Crc32Test, ParseRejectsMalformedHex) {
   EXPECT_FALSE(ParseCrc32Hex("cbf43926", nullptr));
   EXPECT_TRUE(ParseCrc32Hex("CBF43926", &crc));    // upper case accepted
   EXPECT_EQ(crc, 0xCBF43926u);
+}
+
+/// The bytewise table-driven CRC the slicing-by-8 loop replaced.
+uint32_t BytewiseCrc32(std::string_view data, uint32_t seed = 0) {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  uint32_t crc = ~seed;
+  for (unsigned char byte : data) {
+    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFFu];
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(3);
+  std::string buffer(4096 + 16, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  for (int i = 0; i < 500; ++i) {
+    const size_t offset = rng() % 16;
+    const size_t length = rng() % 4097;
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    const std::string_view data(buffer.data() + offset, length);
+    ASSERT_EQ(Crc32(data, seed), BytewiseCrc32(data, seed))
+        << "offset " << offset << " length " << length;
+  }
 }
 
 }  // namespace
