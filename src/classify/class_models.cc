@@ -7,8 +7,7 @@ namespace udm {
 Result<std::vector<McDensityModel>> TrainClassModels(
     const Dataset& data, const ErrorModel& errors,
     const MicroClusterer::Options& clustering,
-    const DensityEvalOptions& density, std::string_view who,
-    const ClassSubsetVisitor& visit) {
+    const DensityEvalOptions& density, std::string_view who) {
   const std::string prefix = std::string(who) + ": ";
   if (data.NumRows() == 0) {
     return Status::InvalidArgument(prefix + "empty dataset");
@@ -34,7 +33,6 @@ Result<std::vector<McDensityModel>> TrainClassModels(
     }
     const Dataset subset = data.Select(indices);
     const ErrorModel subset_errors = errors.Select(indices);
-    if (visit) UDM_RETURN_IF_ERROR(visit(subset, subset_errors));
     UDM_ASSIGN_OR_RETURN(std::vector<MicroCluster> summary,
                          BuildMicroClusters(subset, subset_errors, clustering));
     UDM_ASSIGN_OR_RETURN(McDensityModel model,

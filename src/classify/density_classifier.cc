@@ -16,22 +16,44 @@ namespace {
 constexpr size_t kMaxEvaluations = 200000;
 
 /// Publishes one Explain's roll-up tallies: subspaces scored, subspaces
-/// that qualified (beat the threshold), and whether the Bayes fallback
-/// decided. One increment per counter per Explain.
-void RecordRollUp(size_t scored, size_t qualified, bool fallback) {
+/// that qualified (beat the threshold), which fallback rung decided (the
+/// Bayes rule or the class prior), and why the context cut the roll-up
+/// short. One increment per counter per Explain.
+void RecordRollUp(size_t scored, size_t qualified,
+                  DensityBasedClassifier::Decider decider, StopCause stop) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& scored_counter =
-      obs::MetricsRegistry::Global().GetCounter("classify.subspaces_scored");
+      registry.GetCounter("classify.subspaces_scored");
   static obs::Counter& qualified_counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "classify.subspaces_qualified");
+      registry.GetCounter("classify.subspaces_qualified");
   static obs::Counter& fallback_counter =
-      obs::MetricsRegistry::Global().GetCounter("classify.fallbacks");
+      registry.GetCounter("classify.fallbacks");
+  static obs::Counter& prior_counter = registry.GetCounter("classify.priors");
+  static obs::Counter& deadline_counter =
+      registry.GetCounter("classify.truncated.deadline");
+  static obs::Counter& budget_counter =
+      registry.GetCounter("classify.truncated.budget");
   if (scored != 0) scored_counter.Increment(scored);
   if (qualified != 0) qualified_counter.Increment(qualified);
-  if (fallback) fallback_counter.Increment();
+  if (decider == DensityBasedClassifier::kBayes) fallback_counter.Increment();
+  if (decider == DensityBasedClassifier::kPrior) prior_counter.Increment();
+  if (stop == StopCause::kDeadline) deadline_counter.Increment();
+  if (stop == StopCause::kBudget) budget_counter.Increment();
 }
 
 }  // namespace
+
+const char* DeciderToString(DensityBasedClassifier::Decider decider) {
+  switch (decider) {
+    case DensityBasedClassifier::kRules:
+      return "rules";
+    case DensityBasedClassifier::kBayes:
+      return "bayes";
+    case DensityBasedClassifier::kPrior:
+      return "prior";
+  }
+  return "?";
+}
 
 Result<DensityBasedClassifier> DensityBasedClassifier::Train(
     const Dataset& data, const ErrorModel& errors, const Options& options) {
@@ -143,7 +165,22 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
         "DensityBasedClassifier: point dimension mismatch");
   }
   obs::TraceSpan span("classify.explain");
-  UDM_RETURN_IF_ERROR(ctx.Check());
+  // A context already spent on entry (a later point of a batch sharing one
+  // deadline, say) gets the prior rung: argmax log|D_c|, ties to the lower
+  // label, at zero kernel evals. Cancellation still fails without work.
+  if (const Status entry = ctx.Check(); !entry.ok()) {
+    if (entry.code() == StatusCode::kCancelled) return entry;
+    Explanation explanation;
+    explanation.predicted = static_cast<int>(
+        std::max_element(log_counts_.begin(), log_counts_.end()) -
+        log_counts_.begin());
+    explanation.used_fallback = kPrior;
+    explanation.stop_cause = entry.code() == StatusCode::kDeadlineExceeded
+                                 ? StopCause::kDeadline
+                                 : StopCause::kBudget;
+    RecordRollUp(0, 0, kPrior, explanation.stop_cause);
+    return explanation;
+  }
   const double log_threshold = std::log(options_.accuracy_threshold);
 
   struct Qualified {
@@ -204,7 +241,7 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     }
   }
   if (!cancelled.ok()) {
-    RecordRollUp(evaluations, level1.size(), false);
+    RecordRollUp(evaluations, level1.size(), kRules, stop);
     return cancelled;
   }
 
@@ -244,12 +281,16 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     frontier = std::move(next);
     ++level;
   }
-  RecordRollUp(evaluations, qualifying.size(),
-               cancelled.ok() && qualifying.empty());
-  if (!cancelled.ok()) return cancelled;
+  if (!cancelled.ok()) {
+    RecordRollUp(evaluations, qualifying.size(), kRules, stop);
+    return cancelled;
+  }
 
   Explanation explanation;
   explanation.stop_cause = stop;
+  explanation.used_fallback = qualifying.empty() ? kBayes : kRules;
+  RecordRollUp(evaluations, qualifying.size(), explanation.used_fallback,
+               stop);
   if (qualifying.empty()) {
     // Fallback (paper unspecified): the Bayes rule over all dimensions,
     // which reads only the class models. Runs even after a deadline/budget
@@ -257,7 +298,6 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     // cannot fail the query.
     (void)ctx.ChargeKernelEvals(num_dims_ * class_pseudo_per_dim);
     UDM_ASSIGN_OR_RETURN(explanation.predicted, PredictBayes(x));
-    explanation.used_fallback = true;
     return explanation;
   }
 

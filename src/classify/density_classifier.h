@@ -42,6 +42,12 @@ namespace udm {
 ///      dimensions the global term of Eq. 11 is the same for every class,
 ///      so the fallback is the Bayes rule PredictBayes.
 ///
+/// Under an ExecContext the three rungs form a ladder that never misses a
+/// deadline: the roll-up (anytime — truncated where the context cuts it),
+/// then PredictBayes when nothing qualified, then the class prior when the
+/// deadline or budget was already spent on entry. Every rung reads the one
+/// set of class models.
+///
 /// The "no error adjustment" comparator of §4 is this same class trained
 /// with `ErrorModel::Zero` — every formula degrades to its classical form.
 class DensityBasedClassifier : public Classifier {
@@ -77,17 +83,25 @@ class DensityBasedClassifier : public Classifier {
     double log_accuracy = 0.0; ///< log A(x, S, dom)
   };
 
+  /// The rung that decided a prediction. Nonzero means a fallback decided;
+  /// rules 0 and bayes 1 are the values the pinned digests hash.
+  enum Decider {
+    kRules = 0,  ///< the selected rules' majority vote (Eq. 12)
+    kBayes = 1,  ///< no subspace beat the threshold: PredictBayes
+    kPrior = 2,  ///< the context was spent on entry: class-prior argmax
+  };
+
   /// A prediction plus the subspace rules that produced it (§3's
   /// "relevant classification rules for a particular test instance").
   struct Explanation {
     int predicted = 0;
-    /// True when no subspace beat the threshold and the full-dimensional
-    /// fallback decided.
-    bool used_fallback = false;
+    /// Which rung decided (kRules, or the kBayes/kPrior fallback).
+    Decider used_fallback = kRules;
     std::vector<Rule> selected;
     /// kCompleted for a full roll-up; kDeadline/kBudget when the
     /// ExecContext cut expansion short and the prediction was made from
-    /// the subspaces qualified so far (anytime behavior).
+    /// the subspaces qualified so far (anytime behavior), or, under
+    /// kPrior, when the context was already spent on entry.
     StopCause stop_cause = StopCause::kCompleted;
   };
 
@@ -111,8 +125,10 @@ class DensityBasedClassifier : public Classifier {
   /// Figure 3 is an anytime algorithm: a deadline or budget hit stops
   /// subspace expansion and the prediction is made from whatever
   /// qualified so far (full-dimensional fallback when nothing did), with
-  /// `stop_cause` recording the truncation. Cancellation fails with
-  /// kCancelled before any work.
+  /// `stop_cause` recording the truncation. A context whose deadline or
+  /// budget is already spent on entry gets the class-prior answer (kPrior)
+  /// at zero kernel evals. Cancellation fails with kCancelled before any
+  /// work.
   Result<Explanation> Explain(std::span<const double> x,
                               ExecContext& ctx) const;
   Result<int> Predict(std::span<const double> x, ExecContext& ctx) const;
@@ -174,6 +190,10 @@ class DensityBasedClassifier : public Classifier {
   Options options_;
   std::string name_;
 };
+
+/// Returns "rules", "bayes" or "prior": the tier a served prediction
+/// reports.
+const char* DeciderToString(DensityBasedClassifier::Decider decider);
 
 }  // namespace udm
 

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -158,23 +159,78 @@ Status ReadPoints(const JsonValue& root, const ProtocolLimits& limits,
   return Status::OK();
 }
 
-Status ReadSubspace(const JsonValue& root, const ProtocolLimits& limits,
-                    ServeRequest* out) {
-  const JsonValue* subspace = root.Find("subspace");
-  if (subspace == nullptr) return Status::OK();
-  if (!subspace->is_array()) return FrameError("'subspace' must be an array");
-  if (subspace->items().size() > limits.max_dims) {
-    return FrameError("subspace too large");
+/// Reads an array of at most max_dims dimension indices, each an integer
+/// in [0, max_dims]; `what` names the field in errors.
+Status ReadDims(const JsonValue& dims, const ProtocolLimits& limits,
+                const std::string& what, std::vector<size_t>* out) {
+  if (!dims.is_array()) return FrameError("'" + what + "' must be an array");
+  if (dims.items().size() > limits.max_dims) {
+    return FrameError(what + " too large");
   }
-  for (const JsonValue& dim : subspace->items()) {
-    if (!dim.is_number()) return FrameError("subspace indices must be numbers");
+  for (const JsonValue& dim : dims.items()) {
+    if (!dim.is_number()) return FrameError(what + " indices must be numbers");
     const double value = dim.number();
     if (!std::isfinite(value) || value < 0.0 ||
         value != std::floor(value) ||
         value > static_cast<double>(limits.max_dims)) {
-      return FrameError("subspace index out of range");
+      return FrameError(what + " index out of range");
     }
-    out->subspace.push_back(static_cast<size_t>(value));
+    out->push_back(static_cast<size_t>(value));
+  }
+  return Status::OK();
+}
+
+Status ReadSubspace(const JsonValue& root, const ProtocolLimits& limits,
+                    ServeRequest* out) {
+  const JsonValue* subspace = root.Find("subspace");
+  if (subspace == nullptr) return Status::OK();
+  return ReadDims(*subspace, limits, "subspace", &out->subspace);
+}
+
+/// Reads a class label: a non-negative integer that fits an int (a bare
+/// cast of an out-of-range double is undefined).
+Status ReadLabel(const JsonValue& label, int* out) {
+  if (!label.is_number() || !(label.number() >= 0.0) ||
+      label.number() > std::numeric_limits<int>::max() ||
+      label.number() != std::floor(label.number())) {
+    return FrameError("labels must be non-negative integers");
+  }
+  *out = static_cast<int>(label.number());
+  return Status::OK();
+}
+
+/// Reads a classify response's "rules": one array per answered point, each
+/// holding that point's rules as {"dims", "label", "log_accuracy"} objects.
+Status ReadRules(const JsonValue& root, const ProtocolLimits& limits,
+                 ServeResponse* out) {
+  const JsonValue* rules = root.Find("rules");
+  if (rules == nullptr) return Status::OK();
+  if (!rules->is_array()) return FrameError("'rules' must be an array");
+  if (rules->items().size() > limits.max_points) {
+    return FrameError("response carries too many rule lists");
+  }
+  for (const JsonValue& point_rules : rules->items()) {
+    if (!point_rules.is_array() ||
+        point_rules.items().size() > limits.max_dims) {
+      return FrameError("each point's rules must be an array of at most " +
+                        std::to_string(limits.max_dims));
+    }
+    std::vector<ServeRule>& list = out->rules.emplace_back();
+    for (const JsonValue& item : point_rules.items()) {
+      const JsonValue* dims = item.Find("dims");
+      const JsonValue* label = item.Find("label");
+      const JsonValue* log_accuracy = item.Find("log_accuracy");
+      if (dims == nullptr || label == nullptr || log_accuracy == nullptr) {
+        return FrameError("a rule needs 'dims', 'label' and 'log_accuracy'");
+      }
+      ServeRule& rule = list.emplace_back();
+      UDM_RETURN_IF_ERROR(ReadDims(*dims, limits, "dims", &rule.dims));
+      UDM_RETURN_IF_ERROR(ReadLabel(*label, &rule.label));
+      // Non-finite doubles are serialized as null; read them back as NaN,
+      // as densities are.
+      rule.log_accuracy =
+          log_accuracy->is_number() ? log_accuracy->number() : std::nan("");
+    }
   }
   return Status::OK();
 }
@@ -435,6 +491,23 @@ std::string SerializeResponse(const ServeResponse& response) {
     for (const std::string& tier : response.tiers) writer.String(tier);
     writer.EndArray();
   }
+  if (!response.rules.empty()) {
+    writer.Key("rules").BeginArray();
+    for (const std::vector<ServeRule>& point_rules : response.rules) {
+      writer.BeginArray();
+      for (const ServeRule& rule : point_rules) {
+        writer.BeginObject();
+        writer.Key("dims").BeginArray();
+        for (size_t dim : rule.dims) writer.Number(static_cast<uint64_t>(dim));
+        writer.EndArray();
+        writer.Key("label").Number(static_cast<int64_t>(rule.label));
+        writer.Key("log_accuracy").Number(rule.log_accuracy);
+        writer.EndObject();
+      }
+      writer.EndArray();
+    }
+    writer.EndArray();
+  }
   if (!response.stats_json.empty()) {
     // stats_json is a pre-serialized object; route it through the parser
     // and writer so the response stays structurally valid even if a
@@ -532,8 +605,7 @@ Result<ServeResponse> ParseResponseFrame(std::string_view frame,
       return FrameError("response carries too many labels");
     }
     for (const JsonValue& label : labels->items()) {
-      if (!label.is_number()) return FrameError("labels must be numbers");
-      response.labels.push_back(static_cast<int>(label.number()));
+      UDM_RETURN_IF_ERROR(ReadLabel(label, &response.labels.emplace_back()));
     }
   }
   if (const JsonValue* tiers = root.Find("tiers");
@@ -542,6 +614,7 @@ Result<ServeResponse> ParseResponseFrame(std::string_view frame,
       if (tier.is_string()) response.tiers.push_back(tier.string());
     }
   }
+  UDM_RETURN_IF_ERROR(ReadRules(root, limits, &response));
   if (const JsonValue* stats = root.Find("stats");
       stats != nullptr && stats->is_object()) {
     JsonWriter stats_writer;

@@ -105,6 +105,16 @@ struct ServeRequest {
   double window_seconds = 0.0;
 };
 
+/// One selected rule of a classify answer: a subspace, the class it votes
+/// for, and its log local accuracy (Eq. 11).
+struct ServeRule {
+  std::vector<size_t> dims;
+  int label = 0;
+  double log_accuracy = 0.0;
+
+  bool operator==(const ServeRule& other) const = default;
+};
+
 /// One server response.
 struct ServeResponse {
   std::string id_json;  ///< echoed ServeRequest::id_json
@@ -116,9 +126,13 @@ struct ServeResponse {
   double retry_after_ms = 0.0;  ///< back-off hint on kOverloaded
   /// Eval payload: densities (or log-densities) for the completed prefix.
   std::vector<double> densities;
-  /// Classify payload: labels plus the degradation tier that served each.
+  /// Classify payload, one entry per answered point: the label, the tier
+  /// that decided it ("rules", "bayes" or "prior"), and its selected rules
+  /// (disjoint subspaces, so at most `dims` of them; empty unless the tier
+  /// is "rules"). A frame without "rules" parses with `rules` empty.
   std::vector<int> labels;
   std::vector<std::string> tiers;
+  std::vector<std::vector<ServeRule>> rules;
   size_t requested = 0;  ///< points in the request
   size_t evaluated = 0;  ///< points actually answered (prefix length)
   /// Why a kPartial response stopped ("deadline" or "budget").

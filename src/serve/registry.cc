@@ -66,14 +66,13 @@ Result<EvalResult> ModelEntry::Evaluate(const EvalRequest& request) const {
   return Status::Internal("corrupt model entry");
 }
 
-Result<DegradingClassifier::Prediction> ModelEntry::Classify(
+Result<DensityBasedClassifier::Explanation> ModelEntry::Classify(
     std::span<const double> x, ExecContext& ctx) const {
   if (kind != ModelKind::kClassifier) {
     return Status::FailedPrecondition(
         "model '" + name + "' is a density estimator; use the eval op");
   }
-  std::lock_guard<std::mutex> lock(classifier_mu_);
-  return classifier->Predict(x, ctx);
+  return classifier->Explain(x, ctx);
 }
 
 Status ModelRegistry::LoadManifest(const std::string& path) {
@@ -227,7 +226,7 @@ ModelRegistry::BuildSnapshot(const std::string& path, ExecContext* ctx) const {
         entry->index_cells = model.index_cells();
         entry->error_kde.emplace(std::move(model));
       } else {
-        DegradingClassifier::Options options;
+        DensityBasedClassifier::Options options;
         if (tokens.size() >= 5) {
           char* end = nullptr;
           const long clusters = std::strtol(tokens[4].c_str(), &end, 10);
@@ -238,12 +237,11 @@ ModelRegistry::BuildSnapshot(const std::string& path, ExecContext* ctx) const {
           options.num_clusters = static_cast<size_t>(clusters);
         }
         UDM_ASSIGN_OR_RETURN(
-            DegradingClassifier model,
-            DegradingClassifier::Train(data, *errors, options));
+            DensityBasedClassifier model,
+            DensityBasedClassifier::Train(data, *errors, options));
         entry->kind = ModelKind::kClassifier;
         entry->num_dims = model.num_dims();
-        entry->classifier =
-            std::make_unique<DegradingClassifier>(std::move(model));
+        entry->classifier.emplace(std::move(model));
       }
     } else {
       return ManifestError(path, line_no, "unknown model kind '" + kind + "'");

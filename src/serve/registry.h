@@ -6,15 +6,16 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "classify/density_classifier.h"
 #include "common/exec_context.h"
 #include "common/result.h"
 #include "kde/error_kde.h"
 #include "kde/eval.h"
 #include "microcluster/mc_density.h"
-#include "robustness/degrade.h"
 #include "robustness/fault_injector.h"
 #include "robustness/retry.h"
 #include "serve/protocol.h"
@@ -26,15 +27,14 @@ enum class ModelKind {
   kKde = 0,        ///< exact plain KDE (Eq. 2): ErrorKernelDensity, ψ ≡ 0
   kErrorKde,       ///< exact ErrorKernelDensity (Eq. 4)
   kMcDensity,      ///< micro-cluster surrogate (Eq. 10)
-  kClassifier,     ///< DegradingClassifier ladder
+  kClassifier,     ///< DensityBasedClassifier (the §3 roll-up)
 };
 
 const char* ModelKindToString(ModelKind kind);
 
-/// One fitted model, immutable after load except for the classifier's
-/// internal serving counters (serialized by `classifier_mu`). Entries are
-/// shared by snapshot pointer, so a reload never invalidates a model an
-/// in-flight request is using.
+/// One fitted model, immutable after load, so concurrent requests read it
+/// without a lock. Entries are shared by snapshot pointer, so a reload
+/// never invalidates a model an in-flight request is using.
 class ModelEntry {
  public:
   ModelKind kind = ModelKind::kKde;
@@ -48,21 +48,17 @@ class ModelEntry {
   /// The fitted estimator of a kKde or kErrorKde entry.
   std::optional<ErrorKernelDensity> error_kde;
   std::optional<McDensityModel> mc;
-  std::unique_ptr<DegradingClassifier> classifier;
+  std::optional<DensityBasedClassifier> classifier;
 
   /// Batch density evaluation for the three density kinds (fails with
   /// kFailedPrecondition on a classifier entry).
   Result<EvalResult> Evaluate(const EvalRequest& request) const;
 
-  /// Classification through the degradation ladder, one point at a time
-  /// under the shared context. DegradingClassifier::Predict mutates its
-  /// serving report, so calls are serialized by `classifier_mu` —
-  /// thread-safe for concurrent server workers.
-  Result<DegradingClassifier::Prediction> Classify(
+  /// Classifies one point under the shared context with the roll-up's
+  /// Explain (rules, then the Bayes fallback, then the class prior once the
+  /// context is spent). Fails with kFailedPrecondition on a density entry.
+  Result<DensityBasedClassifier::Explanation> Classify(
       std::span<const double> x, ExecContext& ctx) const;
-
- private:
-  mutable std::mutex classifier_mu_;
 };
 
 /// A named set of fitted models loaded from a manifest file, with
@@ -82,7 +78,10 @@ class ModelEntry {
 /// `<psi>` is a uniform per-entry error std-dev (the paper's homogeneous
 /// special case); '-' means zero error, so `kde <name> <csv>` serves the
 /// same model as `error_kde <name> <csv> -`. CSV files use the repo CSV schema
-/// (trailing integer label column); density models ignore the labels.
+/// (trailing integer label column); density models ignore the labels. A
+/// `classifier` entry is a DensityBasedClassifier trained on the CSV's
+/// labels with default options; `[clusters]` sets its micro-cluster budget
+/// q (default DensityBasedClassifier::Options::num_clusters).
 ///
 /// Every file read is wrapped in RetryWithPolicy with the FaultInjector
 /// I/O seam (Options::io_faults), mirroring CheckpointOptions: an armed

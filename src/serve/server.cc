@@ -462,9 +462,9 @@ void Server::Admit(const std::shared_ptr<Connection>& conn,
       shed = true;
     } else {
       // Two-watermark admission: above the degrade watermark the request
-      // is still served, but under a tightened deadline so the
-      // DegradingClassifier ladder (and partial-prefix eval) sheds *work*
-      // before the queue sheds *requests*.
+      // is still served, but under a tightened deadline so the anytime
+      // roll-up (and partial-prefix eval) sheds *work* before the queue
+      // sheds *requests*.
       const bool degraded =
           static_cast<double>(depth) >=
           options_.degrade_watermark * static_cast<double>(options_.max_queue);
@@ -523,7 +523,7 @@ ServeResponse Server::Execute(const WorkItem& item, uint64_t* kernel_evals) {
   budget.max_kernel_evals = request.eval_budget;
   ExecContext ctx(item.deadline, drain_cancel_.token(), budget);
   // The context carries the request identity into the batch driver and the
-  // ladder: every chunk re-installs it on its executing thread.
+  // classifier: every chunk re-installs it on its executing thread.
   ctx.set_trace_id(request.trace_id);
   struct SpendReporter {
     const ExecContext& ctx;
@@ -560,37 +560,39 @@ ServeResponse Server::Execute(const WorkItem& item, uint64_t* kernel_evals) {
     return response;
   }
 
-  // Classify: one ladder walk per point under the shared context. The
-  // ladder itself absorbs deadline/budget pressure by falling to cheaper
-  // rungs, so mid-batch failures only happen on cancellation (drain).
-  bool any_degraded_tier = false;
+  // Classify: one Explain per point under the shared context. The roll-up
+  // absorbs deadline/budget pressure itself (truncation, then the prior
+  // once the context is spent), so mid-batch failures only happen on
+  // cancellation (drain). A truncated roll-up marks the answer degraded.
   for (size_t i = 0; i < request.num_points; ++i) {
     std::span<const double> x(request.points.data() + i * request.dims,
                               request.dims);
-    Result<DegradingClassifier::Prediction> prediction =
+    Result<DensityBasedClassifier::Explanation> explained =
         item.entry->Classify(x, ctx);
-    if (!prediction.ok()) {
+    if (!explained.ok()) {
       if (response.labels.empty()) {
         ServeResponse error = MakeErrorResponse(
-            request.id_json, ServeStatusFromCode(prediction.status().code()),
-            prediction.status().message());
+            request.id_json, ServeStatusFromCode(explained.status().code()),
+            explained.status().message());
         error.trace_id = request.trace_id;
         return error;
       }
       response.status = ServeStatus::kPartial;
-      response.stop_cause =
-          prediction.status().code() == StatusCode::kCancelled ? "cancelled"
-          : prediction.status().code() == StatusCode::kDeadlineExceeded
-              ? "deadline"
-              : "budget";
+      response.stop_cause = "cancelled";
       break;
     }
-    response.labels.push_back(prediction->label);
-    response.tiers.push_back(DegradationTierToString(prediction->tier));
-    if (prediction->tier != DegradationTier::kExact) any_degraded_tier = true;
+    response.labels.push_back(explained->predicted);
+    response.tiers.push_back(DeciderToString(explained->used_fallback));
+    std::vector<ServeRule>& rules = response.rules.emplace_back();
+    for (DensityBasedClassifier::Rule& rule : explained->selected) {
+      rules.push_back(
+          ServeRule{std::move(rule.dims), rule.label, rule.log_accuracy});
+    }
+    if (explained->stop_cause != StopCause::kCompleted) {
+      response.degraded = true;
+    }
   }
   response.evaluated = response.labels.size();
-  response.degraded = any_degraded_tier;
   return response;
 }
 

@@ -36,8 +36,9 @@ struct ServerOptions {
   size_t max_queue = 64;
   /// Fraction of max_queue past which admission turns degraded: the
   /// request is still served, but under a deadline tightened by
-  /// degraded_deadline_fraction, so the DegradingClassifier ladder falls
-  /// to cheaper rungs before the queue reaches the shed limit.
+  /// degraded_deadline_fraction, so classify truncates its roll-up (or
+  /// answers with the class prior) and eval returns a shorter prefix
+  /// before the queue reaches the shed limit.
   double degrade_watermark = 0.5;
   double degraded_deadline_fraction = 0.35;
   /// Deadline for requests that do not carry deadline_ms.

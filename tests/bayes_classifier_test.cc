@@ -94,7 +94,8 @@ TEST(BayesClassifierTest, MatchesRollUpFallbackBehavior) {
       }
     }
     const auto explanation = rollup.Explain(x).value();
-    EXPECT_TRUE(explanation.used_fallback) << "row " << i;
+    EXPECT_EQ(explanation.used_fallback, DensityBasedClassifier::kBayes)
+        << "row " << i;
     EXPECT_EQ(explanation.predicted, expected) << "row " << i;
     EXPECT_EQ(rollup.PredictBayes(x).value(), expected) << "row " << i;
   }

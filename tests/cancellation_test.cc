@@ -1,9 +1,9 @@
 // Property test for the cancellation contract: a context cancelled before
 // the call makes every public deadline-aware query entry point fail with
 // kCancelled and mutate nothing — no partial results, no counter bumps, no
-// summarizer state drift. Degradation ladders and partial-result semantics
-// apply to deadlines and budgets only; cancellation is always a clean no-op
-// failure.
+// summarizer state drift. The classifier's deadline ladder and
+// partial-result semantics apply to deadlines and budgets only;
+// cancellation is always a clean no-op failure.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -24,7 +24,6 @@
 #include "microcluster/clusterer.h"
 #include "microcluster/mc_density.h"
 #include "robustness/checkpoint.h"
-#include "robustness/degrade.h"
 #include "stream/stream_summarizer.h"
 
 namespace udm {
@@ -184,19 +183,6 @@ TEST_F(CancellationTest, DensityBasedClassifier) {
             StatusCode::kCancelled);
   EXPECT_EQ(classifier->Predict(Query(), ctx).status().code(),
             StatusCode::kCancelled);
-}
-
-TEST_F(CancellationTest, DegradingClassifierReportUnchanged) {
-  const Result<DegradingClassifier> trained =
-      DegradingClassifier::Train(data_, errors_);
-  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
-  DegradingClassifier classifier = std::move(*trained);
-  const DegradationReport before = classifier.report();
-  ExecContext ctx(Deadline::Infinite(), CancelledToken());
-  const Result<DegradingClassifier::Prediction> pred =
-      classifier.Predict(Query(), ctx);
-  EXPECT_EQ(pred.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(classifier.report(), before);
 }
 
 TEST_F(CancellationTest, StreamSummarizerStateIsBitIdentical) {

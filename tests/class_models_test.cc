@@ -8,7 +8,6 @@
 #include "classify/density_classifier.h"
 #include "dataset/synthetic.h"
 #include "error/perturbation.h"
-#include "robustness/degrade.h"
 
 namespace udm {
 namespace {
@@ -26,7 +25,7 @@ UncertainDataset NoisyMixture(size_t n, size_t num_classes, uint64_t seed) {
   return Perturb(MakeMixtureDataset(spec, n).value(), perturb).value();
 }
 
-TEST(ClassModelsTest, BothTrainersShareValidation) {
+TEST(ClassModelsTest, TrainerReportsValidationErrors) {
   struct Case {
     std::string what;
     Dataset data;
@@ -58,12 +57,6 @@ TEST(ClassModelsTest, BothTrainersShareValidation) {
     ASSERT_FALSE(rollup.ok()) << c.what;
     EXPECT_EQ(rollup.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(rollup.status().message(), "DensityBasedClassifier: " + c.what);
-
-    const Result<DegradingClassifier> ladder =
-        DegradingClassifier::Train(c.data, c.errors);
-    ASSERT_FALSE(ladder.ok()) << c.what;
-    EXPECT_EQ(ladder.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(ladder.status().message(), "DegradingClassifier: " + c.what);
   }
 }
 
@@ -71,52 +64,31 @@ TEST(ClassModelsTest, BuildsOneModelPerClassFromItsRowsInDataOrder) {
   const UncertainDataset u = NoisyMixture(450, 3, 9);
   MicroClusterer::Options clustering;
   clustering.num_clusters = 20;
-  std::vector<std::vector<double>> visited;
   const std::vector<McDensityModel> models =
       TrainClassModels(u.data, u.errors, clustering, DensityEvalOptions(),
-                       "test",
-                       [&](const Dataset& subset, const ErrorModel& errors) {
-                         EXPECT_EQ(errors.NumRows(), subset.NumRows());
-                         visited.emplace_back(subset.values().begin(),
-                                              subset.values().end());
-                         return Status::OK();
-                       })
+                       "test")
           .value();
   ASSERT_EQ(models.size(), 3u);
-  ASSERT_EQ(visited.size(), 3u);
 
+  // Each model is the one built straight from its class's rows, selected
+  // in data order: summaries depend on row order, so a reordered split
+  // would build different micro-clusters and read different densities.
   const std::vector<size_t> all_dims{0, 1, 2};
   for (size_t c = 0; c < 3; ++c) {
     const std::vector<size_t> rows = u.data.IndicesOfLabel(static_cast<int>(c));
-    const Dataset subset = u.data.Select(rows);
     EXPECT_EQ(models[c].total_count(), rows.size());
-    EXPECT_EQ(visited[c], std::vector<double>(subset.values().begin(),
-                                              subset.values().end()));
-    // The model is the one built straight from the class's rows.
     const McDensityModel reference =
-        McDensityModel::Build(
-            BuildMicroClusters(subset, u.errors.Select(rows), clustering)
-                .value())
+        McDensityModel::Build(BuildMicroClusters(u.data.Select(rows),
+                                                 u.errors.Select(rows),
+                                                 clustering)
+                                  .value())
             .value();
+    ASSERT_EQ(models[c].num_clusters(), reference.num_clusters());
     for (size_t i = 0; i < u.data.NumRows(); i += 7) {
       EXPECT_EQ(models[c].LogEvaluateSubspace(u.data.Row(i), all_dims),
                 reference.LogEvaluateSubspace(u.data.Row(i), all_dims));
     }
   }
-}
-
-TEST(ClassModelsTest, VisitorErrorAbortsTraining) {
-  const UncertainDataset u = NoisyMixture(100, 2, 5);
-  size_t calls = 0;
-  const Result<std::vector<McDensityModel>> models = TrainClassModels(
-      u.data, u.errors, MicroClusterer::Options(), DensityEvalOptions(),
-      "test", [&](const Dataset&, const ErrorModel&) {
-        ++calls;
-        return Status::Internal("visitor failed");
-      });
-  ASSERT_FALSE(models.ok());
-  EXPECT_EQ(models.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(calls, 1u);
 }
 
 }  // namespace

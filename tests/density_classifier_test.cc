@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "classify/metrics.h"
+#include "common/deadline.h"
 #include "common/exec_context.h"
 #include "common/simd.h"
 #include "dataset/synthetic.h"
@@ -129,7 +130,7 @@ TEST(DensityClassifierTest, HugeThresholdTriggersFallback) {
           d, ErrorModel::Zero(d.NumRows(), d.NumDims()), options)
           .value();
   const auto explanation = classifier.Explain(d.Row(0)).value();
-  EXPECT_TRUE(explanation.used_fallback);
+  EXPECT_EQ(explanation.used_fallback, DensityBasedClassifier::kBayes);
   EXPECT_TRUE(explanation.selected.empty());
   // Fallback still classifies separable data correctly most of the time.
   const ConfusionMatrix matrix = EvaluateClassifier(classifier, d).value();
@@ -157,7 +158,7 @@ TEST(DensityClassifierTest, ForcedFallbackChargesSingletonsAndClassModels) {
   const size_t class_terms = 2 * kClusters;
   ExecContext ctx;
   const auto explanation = classifier.Explain(d.Row(0), ctx).value();
-  ASSERT_TRUE(explanation.used_fallback);
+  ASSERT_EQ(explanation.used_fallback, DensityBasedClassifier::kBayes);
   EXPECT_EQ(ctx.kernel_evals_spent(),
             dims * (kClusters + class_terms) + dims * class_terms);
 }
@@ -313,7 +314,8 @@ TEST(DensityClassifierTest, RollUpCountersMatchExplanations) {
     for (size_t i = 0; i < kQueries; ++i) {
       const auto explanation = classifier.Explain(u.data.Row(i)).value();
       rules += explanation.selected.size();
-      fallbacks += explanation.used_fallback ? 1 : 0;
+      fallbacks +=
+          explanation.used_fallback == DensityBasedClassifier::kBayes ? 1 : 0;
     }
     const RollUpCounters after = ReadRollUpCounters();
     const uint64_t scored = after.scored - before.scored;
@@ -333,6 +335,151 @@ TEST(DensityClassifierTest, RollUpCountersMatchExplanations) {
       EXPECT_LE(qualified, scored);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The ladder's bottom rung: a context already spent on entry still gets an
+// answer, the class prior, without kernel work; cancellation never does.
+
+struct LadderCounters {
+  uint64_t priors = 0;
+  uint64_t fallbacks = 0;
+  uint64_t truncated_deadline = 0;
+  uint64_t truncated_budget = 0;
+};
+
+LadderCounters ReadLadderCounters() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  return {registry.GetCounter("classify.priors").Value(),
+          registry.GetCounter("classify.fallbacks").Value(),
+          registry.GetCounter("classify.truncated.deadline").Value(),
+          registry.GetCounter("classify.truncated.budget").Value()};
+}
+
+/// Two well-separated 1-dim classes of `n0` and `n1` rows.
+DensityBasedClassifier TwoClassClassifier(int n0, int n1) {
+  Dataset data = Dataset::Create(1).value();
+  for (int i = 0; i < n0; ++i) {
+    EXPECT_TRUE(data.AppendRow(std::vector<double>{0.1 * i}, 0).ok());
+  }
+  for (int i = 0; i < n1; ++i) {
+    EXPECT_TRUE(data.AppendRow(std::vector<double>{50.0 + 0.1 * i}, 1).ok());
+  }
+  DensityBasedClassifier::Options options;
+  options.num_clusters = 4;
+  return DensityBasedClassifier::Train(
+             data, ErrorModel::Zero(data.NumRows(), 1), options)
+      .value();
+}
+
+TEST(PriorRungTest, ExpiredDeadlineGetsThePriorAtZeroKernelEvals) {
+  const DensityBasedClassifier classifier = TwoClassClassifier(6, 9);
+  const std::vector<double> x{0.2};  // deep inside class 0
+  const LadderCounters before = ReadLadderCounters();
+  ExecContext ctx(Deadline::AfterMillis(-5));
+  const Result<DensityBasedClassifier::Explanation> e =
+      classifier.Explain(x, ctx);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_EQ(e->used_fallback, DensityBasedClassifier::kPrior);
+  EXPECT_EQ(e->predicted, 1);  // the larger class
+  EXPECT_EQ(e->stop_cause, StopCause::kDeadline);
+  EXPECT_TRUE(e->selected.empty());
+  EXPECT_EQ(ctx.kernel_evals_spent(), 0u);
+  const LadderCounters after = ReadLadderCounters();
+  EXPECT_EQ(after.priors - before.priors, 1u);
+  EXPECT_EQ(after.truncated_deadline - before.truncated_deadline, 1u);
+  EXPECT_EQ(after.truncated_budget, before.truncated_budget);
+  EXPECT_EQ(after.fallbacks, before.fallbacks);
+  // Predict answers through the same rung.
+  EXPECT_EQ(classifier.Predict(x, ctx).value(), 1);
+}
+
+TEST(PriorRungTest, PriorTiesGoToTheLowerLabel) {
+  const DensityBasedClassifier classifier = TwoClassClassifier(7, 7);
+  const std::vector<double> x{50.2};  // deep inside class 1
+  ExecContext ctx(Deadline::AfterMillis(-5));
+  const auto e = classifier.Explain(x, ctx).value();
+  EXPECT_EQ(e.used_fallback, DensityBasedClassifier::kPrior);
+  EXPECT_EQ(e.predicted, 0);
+}
+
+TEST(PriorRungTest, BudgetExhaustedAtEntryGetsThePrior) {
+  const DensityBasedClassifier classifier = TwoClassClassifier(9, 6);
+  const std::vector<double> x{50.2};
+  const LadderCounters before = ReadLadderCounters();
+  ExecBudget budget;
+  budget.max_kernel_evals = 10;
+  ExecContext ctx(Deadline::Infinite(), {}, budget);
+  // An earlier point of the same batch spent the budget.
+  ASSERT_FALSE(ctx.ChargeKernelEvals(11).ok());
+  const Result<DensityBasedClassifier::Explanation> e =
+      classifier.Explain(x, ctx);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_EQ(e->used_fallback, DensityBasedClassifier::kPrior);
+  EXPECT_EQ(e->predicted, 0);
+  EXPECT_EQ(e->stop_cause, StopCause::kBudget);
+  EXPECT_EQ(ctx.kernel_evals_spent(), 11u);
+  const LadderCounters after = ReadLadderCounters();
+  EXPECT_EQ(after.priors - before.priors, 1u);
+  EXPECT_EQ(after.truncated_budget - before.truncated_budget, 1u);
+  EXPECT_EQ(after.truncated_deadline, before.truncated_deadline);
+}
+
+TEST(PriorRungTest, BudgetCutMidRollUpIsTruncatedNotPrior) {
+  // A budget that is not yet spent on entry runs the roll-up, which stops
+  // at its first charge; the Bayes rule then decides (no rule qualified).
+  const DensityBasedClassifier classifier = TwoClassClassifier(9, 6);
+  const std::vector<double> x{50.2};
+  const LadderCounters before = ReadLadderCounters();
+  ExecBudget budget;
+  budget.max_kernel_evals = 1;
+  ExecContext ctx(Deadline::Infinite(), {}, budget);
+  const auto e = classifier.Explain(x, ctx).value();
+  EXPECT_EQ(e.used_fallback, DensityBasedClassifier::kBayes);
+  EXPECT_EQ(e.predicted, 1);
+  EXPECT_EQ(e.stop_cause, StopCause::kBudget);
+  EXPECT_GT(ctx.kernel_evals_spent(), 0u);
+  const LadderCounters after = ReadLadderCounters();
+  EXPECT_EQ(after.priors, before.priors);
+  EXPECT_EQ(after.fallbacks - before.fallbacks, 1u);
+  EXPECT_EQ(after.truncated_budget - before.truncated_budget, 1u);
+}
+
+TEST(PriorRungTest, CancellationFailsWithoutWorkEvenPastTheDeadline) {
+  const DensityBasedClassifier classifier = TwoClassClassifier(6, 9);
+  const std::vector<double> x{0.2};
+  const LadderCounters before = ReadLadderCounters();
+  CancellationSource source;
+  source.Cancel();
+  for (const Deadline deadline :
+       {Deadline::Infinite(), Deadline::AfterMillis(-5)}) {
+    ExecContext ctx(deadline, source.token());
+    const Result<DensityBasedClassifier::Explanation> e =
+        classifier.Explain(x, ctx);
+    EXPECT_EQ(e.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(ctx.kernel_evals_spent(), 0u);
+  }
+  const LadderCounters after = ReadLadderCounters();
+  EXPECT_EQ(after.priors, before.priors);
+  EXPECT_EQ(after.fallbacks, before.fallbacks);
+  EXPECT_EQ(after.truncated_deadline, before.truncated_deadline);
+}
+
+TEST(PriorRungTest, WrongDimensionIsRejectedBeforeAnyRung) {
+  const DensityBasedClassifier classifier = TwoClassClassifier(6, 9);
+  const std::vector<double> x{0.2, 0.3};
+  for (const Deadline deadline :
+       {Deadline::Infinite(), Deadline::AfterMillis(-5)}) {
+    ExecContext ctx(deadline);
+    EXPECT_EQ(classifier.Explain(x, ctx).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(PriorRungTest, DecidersNameTheirTiers) {
+  EXPECT_STREQ(DeciderToString(DensityBasedClassifier::kRules), "rules");
+  EXPECT_STREQ(DeciderToString(DensityBasedClassifier::kBayes), "bayes");
+  EXPECT_STREQ(DeciderToString(DensityBasedClassifier::kPrior), "prior");
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +517,7 @@ const DensityBasedClassifier& GoldenClassifier(SimdLevel level) {
 void AddExplanation(const DensityBasedClassifier::Explanation& e,
                     golden::Digest& digest) {
   digest.U64(static_cast<uint64_t>(e.predicted));
-  digest.U64(e.used_fallback ? 1 : 0);
+  digest.U64(static_cast<uint64_t>(e.used_fallback));
   digest.U64(static_cast<uint64_t>(e.stop_cause));
   digest.U64(e.selected.size());
   for (const DensityBasedClassifier::Rule& rule : e.selected) {

@@ -90,10 +90,74 @@ TEST(ServeProtocolRoundTrip, ResponseSurvivesSerializeParse) {
   EXPECT_EQ(parsed.value().stop_cause, "deadline");
 }
 
+/// A classify answer for three points: two decided by rules (one with two
+/// rules), one by the Bayes fallback with no rules.
+ServeResponse ClassifyResponse() {
+  ServeResponse response;
+  response.id_json = "\"clf-7\"";
+  response.requested = 3;
+  response.evaluated = 3;
+  response.labels = {1, 0, 1};
+  response.tiers = {"rules", "bayes", "rules"};
+  response.rules = {
+      {ServeRule{{0, 3}, 1, -0.10536051565782628},
+       ServeRule{{5}, 1, -0.2876820724517809}},
+      {},
+      // Doubles that only round-trip at 17 significant digits.
+      {ServeRule{{1, 2, 4}, 1, -0.1 - 0.2}}};
+  return response;
+}
+
+TEST(ServeProtocolRoundTrip, ClassifyRulesSurviveSerializeParse) {
+  const ServeResponse response = ClassifyResponse();
+  const std::string frame = SerializeResponse(response);
+  EXPECT_NE(frame.find("\"rules\":[["), std::string::npos) << frame;
+  const Result<ServeResponse> parsed =
+      ParseResponseFrame(frame, ProtocolLimits());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->labels, response.labels);
+  EXPECT_EQ(parsed->tiers, response.tiers);
+  // Bit-identical: ServeRule's == compares log_accuracy with ==.
+  EXPECT_EQ(parsed->rules, response.rules);
+  // Re-serializing the parsed response reproduces the frame byte for byte.
+  EXPECT_EQ(SerializeResponse(*parsed), frame);
+}
+
+TEST(ServeProtocolRoundTrip, ClassifyFrameWithoutRulesStillParses) {
+  // "rules" is optional: a server that sends none still parses.
+  const Result<ServeResponse> parsed = ParseResponseFrame(
+      R"({"id":3,"status":"ok","requested":2,"evaluated":2,)"
+      R"("labels":[0,1],"tiers":["exact","prior"]})",
+      ProtocolLimits());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->labels, (std::vector<int>{0, 1}));
+  EXPECT_EQ(parsed->tiers, (std::vector<std::string>{"exact", "prior"}));
+  EXPECT_TRUE(parsed->rules.empty());
+}
+
+TEST(ServeProtocolFuzz, MalformedLabelsAndRulesAreStructuredErrors) {
+  const ProtocolLimits limits;
+  for (const char* field :
+       {R"("rules":{})", R"("rules":[{}])", R"("rules":[[1]])",
+        R"("rules":[[{"dims":[0],"label":1}]])",
+        R"("rules":[[{"dims":[-1],"label":1,"log_accuracy":0}]])",
+        R"("rules":[[{"dims":"0","label":1,"log_accuracy":0}]])",
+        R"("rules":[[{"dims":[0],"label":1.5,"log_accuracy":0}]])",
+        R"("rules":[[{"dims":[0],"label":-1,"log_accuracy":0}]])",
+        R"("rules":[[{"dims":[0],"label":1e300,"log_accuracy":0}]])",
+        R"("labels":[1e300])", R"("labels":[-7])", R"("labels":[2.5])"}) {
+    const std::string frame = std::string(R"({"status":"ok",)") + field + "}";
+    const Result<ServeResponse> parsed = ParseResponseFrame(frame, limits);
+    EXPECT_FALSE(parsed.ok()) << frame;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << frame;
+  }
+}
+
 TEST(ServeProtocolFuzz, EveryTruncationIsStructured) {
   const ProtocolLimits limits;
   for (const std::string& frame :
-       {ValidRequestFrame(), ValidResponseFrame()}) {
+       {ValidRequestFrame(), ValidResponseFrame(),
+        SerializeResponse(ClassifyResponse())}) {
     for (size_t len = 0; len <= frame.size(); ++len) {
       ExpectStructuredOutcome(frame.substr(0, len), limits);
     }
@@ -103,12 +167,14 @@ TEST(ServeProtocolFuzz, EveryTruncationIsStructured) {
 TEST(ServeProtocolFuzz, SingleByteMutationsAreStructured) {
   const ProtocolLimits limits;
   std::mt19937_64 rng(0x5EED);
-  const std::string frame = ValidRequestFrame();
-  for (size_t i = 0; i < frame.size(); ++i) {
-    for (int round = 0; round < 4; ++round) {
-      std::string mutated = frame;
-      mutated[i] = static_cast<char>(rng());
-      ExpectStructuredOutcome(mutated, limits);
+  for (const std::string& frame :
+       {ValidRequestFrame(), SerializeResponse(ClassifyResponse())}) {
+    for (size_t i = 0; i < frame.size(); ++i) {
+      for (int round = 0; round < 4; ++round) {
+        std::string mutated = frame;
+        mutated[i] = static_cast<char>(rng());
+        ExpectStructuredOutcome(mutated, limits);
+      }
     }
   }
 }

@@ -17,10 +17,14 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "classify/density_classifier.h"
+#include "dataset/csv.h"
+#include "error/error_model.h"
 #include "gtest/gtest.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -517,6 +521,114 @@ TEST_F(ServeSoakTest, KdeEntryLogSpaceIsFiniteInTheFarTail) {
   // The linear density really underflows out there.
   request.log_space = false;
   EXPECT_EQ(plain->Evaluate(request).value().densities[0], 0.0);
+}
+
+// The served classifier is the paper's roll-up: every label, tier and rule
+// a classify response carries is bit-identical to an in-process Explain on
+// a DensityBasedClassifier trained from the same CSV, ψ and q — also under
+// a one-eval budget shared by a batch, which walks it from a truncated
+// roll-up (Bayes rule) down to the prior rung. Several clients classify at
+// once: entries are immutable, so no lock serializes them (the tsan preset
+// runs this case).
+TEST_F(ServeSoakTest, ServedClassifyMatchesInProcessExplain) {
+  const Dataset data = ReadCsv(base_ + "/data.csv").value();
+  DensityBasedClassifier::Options options;
+  options.num_clusters = 8;  // the fixture manifest's `clf` entry
+  const DensityBasedClassifier local =
+      DensityBasedClassifier::Train(
+          data,
+          ErrorModel::PerDimension(data.NumRows(), std::vector<double>(3, 0.2))
+              .value(),
+          options)
+          .value();
+
+  // Points deep in either blob, between them, and off to the sides.
+  std::vector<double> points;
+  for (int i = 0; i < 16; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      points.push_back(-3.0 + 0.4 * static_cast<double>(i) +
+                       0.15 * static_cast<double>(j));
+    }
+  }
+  const size_t num_points = points.size() / 3;
+
+  /// Checks one response against in-process Explain of every point under
+  /// one context of `budget` (0 = unlimited) shared by the batch.
+  const auto expect_matches = [&](const ServeResponse& served,
+                                  uint64_t budget) -> size_t {
+    EXPECT_EQ(served.status, ServeStatus::kOk) << served.message;
+    EXPECT_EQ(served.labels.size(), num_points);
+    EXPECT_EQ(served.tiers.size(), num_points);
+    EXPECT_EQ(served.rules.size(), num_points);
+    if (served.labels.size() != num_points ||
+        served.tiers.size() != num_points ||
+        served.rules.size() != num_points) {
+      return 0;
+    }
+    ExecContext ctx(Deadline::Infinite(), {}, ExecBudget{budget, 0});
+    size_t with_rules = 0;
+    for (size_t i = 0; i < num_points; ++i) {
+      const DensityBasedClassifier::Explanation e =
+          local.Explain(std::span<const double>(points).subspan(i * 3, 3), ctx)
+              .value();
+      EXPECT_EQ(served.labels[i], e.predicted) << "point " << i;
+      EXPECT_EQ(served.tiers[i], DeciderToString(e.used_fallback))
+          << "point " << i;
+      std::vector<ServeRule> expected;
+      for (const DensityBasedClassifier::Rule& rule : e.selected) {
+        expected.push_back(ServeRule{rule.dims, rule.label, rule.log_accuracy});
+      }
+      EXPECT_EQ(served.rules[i], expected) << "point " << i;
+      with_rules += e.selected.empty() ? 0 : 1;
+    }
+    return with_rules;
+  };
+
+  ServerOptions server_options = SmallServer();
+  server_options.workers = 4;
+  server_options.max_queue = 64;  // stay below the degrade watermark
+  Server server(registry_.get(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<Result<ServeResponse>> responses(4, Status::Internal("unset"));
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < responses.size(); ++c) {
+    clients.emplace_back([&, c] {
+      Result<ServeClient> client =
+          ServeClient::Connect(server_options.socket_path);
+      if (!client.ok()) {
+        responses[c] = client.status();
+        return;
+      }
+      ServeRequest request;
+      request.op = ServeOp::kClassify;
+      request.model = "clf";
+      request.dims = 3;
+      request.num_points = num_points;
+      request.points = points;
+      // Far past any roll-up's cost, so only the budget case truncates.
+      request.deadline_ms = 10000.0;
+      request.eval_budget = c == 0 ? 1 : 0;
+      responses[c] = client.value().Call(request, 20000.0);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server.Drain();
+
+  for (size_t c = 0; c < responses.size(); ++c) {
+    ASSERT_TRUE(responses[c].ok()) << responses[c].status().ToString();
+    const ServeResponse& served = responses[c].value();
+    if (c == 0) {
+      // The first point's roll-up stops at its first charge and the Bayes
+      // rule decides; the spent budget sends every later point to the prior.
+      expect_matches(served, 1);
+      EXPECT_TRUE(served.degraded);
+      EXPECT_EQ(served.tiers.front(), "bayes");
+      EXPECT_EQ(served.tiers.back(), "prior");
+    } else {
+      EXPECT_GT(expect_matches(served, 0), 0u) << "no point selected rules";
+      EXPECT_FALSE(served.degraded);
+    }
+  }
 }
 
 // healthz reports healthy while serving, and readiness and health flip

@@ -5,7 +5,8 @@
 #   stream with quarantine, injected faults and checkpoints -> recover;
 #   stream --shards 2 --clusters 30 --out a.mc -> merge into b.mc, which must
 #   be byte-identical to a.mc (merge defaults to the shards' own budget);
-#   merge over shards summarized with different budgets must be rejected.
+#   merge over shards summarized with different budgets must be rejected;
+#   classify under a 0.05 ms per-query deadline still answers every query.
 #
 # Standalone: cmake -DCLI=build/tools/udm_cli -DWORK_DIR=/tmp/cli_smoke
 #                   -P tools/cli_smoke.cmake
@@ -66,3 +67,13 @@ run_cli(0 stream --in noisy.csv --errors psi.csv --shards 2 --clusters 20
 file(REMOVE_RECURSE "${WORK_DIR}/sharded/shard-1")
 file(COPY "${WORK_DIR}/other/shard-1" DESTINATION "${WORK_DIR}/sharded")
 run_cli(2 merge --checkpoint-dir sharded --out d.mc)
+
+# The roll-up classifier never misses a deadline: a tight per-query deadline
+# truncates the roll-up or answers with the prior, and still exits 0 with a
+# RunReport written.
+run_cli(0 classify --dataset adult --n 2000 --deadline-ms 0.05
+          --metrics-out classify.json)
+if(NOT EXISTS "${WORK_DIR}/classify.json")
+  message(FATAL_ERROR "classify --metrics-out wrote no report")
+endif()
+message(STATUS "ok: classify wrote classify.json")

@@ -49,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "classify/density_classifier.h"
 #include "classify/experiment.h"
 #include "common/deadline.h"
 #include "common/exec_context.h"
@@ -64,7 +65,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "robustness/checkpoint.h"
-#include "robustness/degrade.h"
 #include "robustness/fault_injector.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -677,12 +677,12 @@ udm::Status RunClassify(const Flags& flags) {
   const udm::ErrorModel train_errors = uncertain.errors.Select(train_idx);
   const udm::Dataset queries = uncertain.data.Select(test_idx);
 
-  udm::DegradingClassifier::Options options;
+  udm::DensityBasedClassifier::Options options;
   options.num_clusters = static_cast<size_t>(
       std::atol(GetFlag(flags, "clusters", "60").c_str()));
   UDM_ASSIGN_OR_RETURN(
-      udm::DegradingClassifier classifier,
-      udm::DegradingClassifier::Train(train, train_errors, options));
+      const udm::DensityBasedClassifier classifier,
+      udm::DensityBasedClassifier::Train(train, train_errors, options));
 
   const double deadline_ms =
       std::atof(GetFlag(flags, "deadline-ms", "0").c_str());
@@ -693,15 +693,19 @@ udm::Status RunClassify(const Flags& flags) {
 
   size_t correct = 0;
   size_t served = 0;
+  size_t tiers[3] = {0, 0, 0};    // indexed by Decider: rules, bayes, prior
+  size_t truncated[3] = {0, 0, 0};  // indexed by StopCause
   for (size_t i = 0; i < queries.NumRows(); ++i) {
     if (total_deadline.Expired()) break;
     udm::ExecBudget budget;
     budget.max_kernel_evals = eval_budget;
     udm::ExecContext ctx(DeadlineFromMillis(deadline_ms), {}, budget);
-    UDM_ASSIGN_OR_RETURN(const udm::DegradingClassifier::Prediction pred,
-                         classifier.Predict(queries.Row(i), ctx));
+    UDM_ASSIGN_OR_RETURN(const udm::DensityBasedClassifier::Explanation e,
+                         classifier.Explain(queries.Row(i), ctx));
     ++served;
-    if (pred.label == queries.Label(i)) ++correct;
+    if (e.predicted == queries.Label(i)) ++correct;
+    ++tiers[e.used_fallback];
+    ++truncated[static_cast<size_t>(e.stop_cause)];
   }
 
   std::printf("classified %zu of %zu queries, accuracy %.4f\n", served,
@@ -709,7 +713,13 @@ udm::Status RunClassify(const Flags& flags) {
               served > 0 ? static_cast<double>(correct) /
                                static_cast<double>(served)
                          : 0.0);
-  std::printf("  degradation: %s\n", classifier.report().ToString().c_str());
+  std::printf("  tiers: rules=%zu bayes=%zu prior=%zu; truncated "
+              "deadline=%zu budget=%zu\n",
+              tiers[udm::DensityBasedClassifier::kRules],
+              tiers[udm::DensityBasedClassifier::kBayes],
+              tiers[udm::DensityBasedClassifier::kPrior],
+              truncated[static_cast<size_t>(udm::StopCause::kDeadline)],
+              truncated[static_cast<size_t>(udm::StopCause::kBudget)]);
   if (served < queries.NumRows()) {
     return udm::Status::DeadlineExceeded(
         "--total-ms budget exhausted after " + std::to_string(served) +
