@@ -39,7 +39,6 @@ Result<UncertainClustering> UncertainDbscan(
   EvalRequest density_request;
   density_request.points = data.values();
   density_request.ctx = &ctx;
-  density_request.threads = options.threads;
   Result<EvalResult> densities = [&]() -> Result<EvalResult> {
     if (options.num_clusters > 0) {
       MicroClusterer::Options mc_options;

@@ -37,9 +37,6 @@ struct UncertainDbscanOptions {
   size_t num_clusters = 0;
   /// Kernel/bandwidth knobs for the density estimate.
   DensityEvalOptions density;
-  /// Worker width for the per-row density pass (0 = serial). Results are
-  /// bit-identical at any width; only the density pass parallelizes.
-  size_t threads = 0;
 };
 
 /// Cluster assignment: labels[i] >= 0 is the cluster id of row i, and

@@ -19,8 +19,8 @@ namespace udm {
 /// profiles and 2-D fields for inspection, plotting, and the numeric
 /// integration used throughout the test suite. Sampling goes through the
 /// batch API — not a per-point std::function — so grids inherit the
-/// model's parallelism, ExecContext accounting, and spatial-index pruning
-/// instead of bypassing them.
+/// model's ExecContext accounting and spatial-index pruning instead of
+/// bypassing them. Sampling is serial on the calling thread.
 
 /// Per-call controls threaded through to the underlying EvalRequest.
 struct GridSampleOptions {
@@ -30,8 +30,6 @@ struct GridSampleOptions {
   /// all-or-nothing: a context stop fails the call rather than returning
   /// a ragged profile.
   ExecContext* ctx = nullptr;
-  /// Worker width for the batch evaluation (0 or 1 = serial).
-  size_t threads = 0;
   /// Spatial-index policy (bit-identical values under every mode).
   IndexMode index = IndexMode::kAuto;
 };
@@ -80,7 +78,6 @@ Result<std::vector<double>> EvaluateGrid(const Model& model,
   request.points = points;
   request.subspace = options.subspace;
   request.ctx = options.ctx;
-  request.threads = options.threads;
   request.index = options.index;
   UDM_ASSIGN_OR_RETURN(EvalResult result, model.Evaluate(request));
   if (!result.complete()) {

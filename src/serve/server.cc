@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/simd.h"
 #include "kde/eval.h"
 #include "kde/eval_obs.h"
@@ -26,6 +27,12 @@ namespace {
 obs::Gauge& QueueDepthGauge() {
   static obs::Gauge& gauge =
       obs::MetricsRegistry::Global().GetGauge("serve.queue_depth");
+  return gauge;
+}
+
+obs::Gauge& EvalWidthGauge() {
+  static obs::Gauge& gauge =
+      obs::MetricsRegistry::Global().GetGauge("serve.eval_width");
   return gauge;
 }
 
@@ -145,7 +152,9 @@ Server::Connection::~Connection() {
 }
 
 Server::Server(const ModelRegistry* registry, ServerOptions options)
-    : registry_(registry), options_(std::move(options)) {
+    : registry_(registry),
+      options_(std::move(options)),
+      eval_width_(ThreadPool::HardwareThreads()) {
   UDM_CHECK(registry_ != nullptr) << "Server needs a registry";
 }
 
@@ -188,6 +197,7 @@ Status Server::Start() {
   }
 
   running_.store(true, std::memory_order_release);
+  EvalWidthGauge().Set(static_cast<double>(eval_width_));
   const size_t workers = std::max<size_t>(options_.workers, 1);
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
@@ -538,7 +548,7 @@ ServeResponse Server::Execute(const WorkItem& item, uint64_t* kernel_evals) {
     eval.points = request.points;
     eval.subspace = request.subspace;
     eval.ctx = &ctx;
-    eval.threads = options_.eval_threads;
+    eval.threads = eval_width_;
     eval.log_space = request.log_space;
     Result<EvalResult> result = item.entry->Evaluate(eval);
     if (!result.ok()) {
@@ -560,10 +570,12 @@ ServeResponse Server::Execute(const WorkItem& item, uint64_t* kernel_evals) {
     return response;
   }
 
-  // Classify: one Explain per point under the shared context. The roll-up
-  // absorbs deadline/budget pressure itself (truncation, then the prior
-  // once the context is spent), so mid-batch failures only happen on
-  // cancellation (drain). A truncated roll-up marks the answer degraded.
+  // Classify: one Explain per point under the shared context, serially —
+  // the batch spends one budget in point order (see the width policy in
+  // server.h). The roll-up absorbs deadline/budget pressure itself
+  // (truncation, then the prior once the context is spent), so mid-batch
+  // failures only happen on cancellation (drain). A truncated roll-up
+  // marks the answer degraded.
   for (size_t i = 0; i < request.num_points; ++i) {
     std::span<const double> x(request.points.data() + i * request.dims,
                               request.dims);
@@ -795,6 +807,7 @@ std::string Server::StatsJson(double window_seconds) const {
   writer.Key("draining").Bool(draining_.load(std::memory_order_acquire));
   writer.Key("queue_depth").Number(static_cast<uint64_t>(depth));
   writer.Key("in_flight").Number(static_cast<uint64_t>(in_flight));
+  writer.Key("eval_width").Number(static_cast<uint64_t>(eval_width_));
   writer.Key("connections_opened").Number(c.connections_opened);
   writer.Key("connections_refused").Number(c.connections_refused);
   writer.Key("frames_received").Number(c.frames_received);

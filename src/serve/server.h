@@ -30,8 +30,6 @@ struct ServerOptions {
   std::string socket_path;
   /// Worker threads executing admitted requests.
   size_t workers = 2;
-  /// Intra-request evaluation width handed to EvalRequest::threads.
-  size_t eval_threads = 0;
   /// Bound on waiting + in-flight requests; admission sheds past it.
   size_t max_queue = 64;
   /// Fraction of max_queue past which admission turns degraded: the
@@ -98,6 +96,14 @@ struct ServerCounters {
 /// response. See DESIGN.md §4g for the admission/shed/drain state machine
 /// and the failure model.
 ///
+/// Width policy: a worker hands each eval batch to the density engine at
+/// eval_width() — the shared pool's width — so one request's points spread
+/// over the host's cores; the engine's chunking never depends on width, so
+/// the densities are bit-identical to a serial evaluation. Classify batches
+/// run serially on the worker: their points share one ExecContext budget
+/// that the roll-up spends in point order, and fanning them out would make
+/// which point gets truncated depend on timing.
+///
 /// Robustness contract:
 ///  * every frame (any bytes) gets a structured response or a counted
 ///    connection drop — never a crash or hang;
@@ -142,6 +148,11 @@ class Server {
   std::string HealthzJson() const;
 
   const ServerOptions& options() const { return options_; }
+
+  /// Worker width of every eval batch: ThreadPool::HardwareThreads() (1 on
+  /// a single-core host, i.e. serial). Exported as the `serve.eval_width`
+  /// gauge and the stats field `eval_width`.
+  size_t eval_width() const { return eval_width_; }
 
  private:
   struct Connection {
@@ -195,6 +206,7 @@ class Server {
 
   const ModelRegistry* registry_;
   ServerOptions options_;
+  const size_t eval_width_;
 
   std::mutex drain_mu_;  // serializes Drain callers
   std::atomic<bool> running_{false};

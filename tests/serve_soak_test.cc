@@ -12,20 +12,28 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "classify/density_classifier.h"
+#include "common/parallel.h"
 #include "dataset/csv.h"
+#include "dataset/uci_like.h"
 #include "error/error_model.h"
+#include "error/perturbation.h"
 #include "gtest/gtest.h"
+#include "microcluster/clusterer.h"
+#include "microcluster/serialize.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/tracez.h"
@@ -727,6 +735,173 @@ TEST_F(ServeSoakTest, StatsWindowP99TracksClientObservedLatency) {
 
   server.Drain();
   ExpectNoLeakedRequests(server.Counters());
+}
+
+/// Bit patterns of `values`, so a comparison also tells -0.0 from 0.0.
+std::vector<uint64_t> Bits(std::span<const double> values) {
+  std::vector<uint64_t> bits;
+  bits.reserve(values.size());
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+// Served eval runs each batch at the daemon's eval width (server.h), and
+// the engine's chunking depends only on the model and the batch, so every
+// served density equals a serial in-process Evaluate bit for bit: for an
+// indexed error_kde entry over 4000 rows (one query per chunk, so a
+// 64-point batch fans out over 64 chunks) and for an mc entry, in linear
+// and log space, with several clients in flight (the tsan preset runs
+// this case). Under an eval budget of a quarter of the batch's cost the
+// answer stops early; which chunks ran before the budget ran out depends
+// on timing, so only the prefix property is asserted, never its length.
+TEST_F(ServeSoakTest, ServedParallelEvalMatchesSerialEvaluate) {
+  constexpr size_t kRows = 4000;
+  constexpr size_t kPoints = 64;
+  const Dataset clean = MakeAdultLike(kRows + kPoints, 1).value();
+  PerturbationOptions perturb;
+  perturb.f = 1.0;
+  perturb.seed = 5;
+  const UncertainDataset noisy = Perturb(clean, perturb).value();
+  std::vector<size_t> train_rows(kRows);
+  std::iota(train_rows.begin(), train_rows.end(), size_t{0});
+  std::vector<size_t> query_rows(kPoints);
+  std::iota(query_rows.begin(), query_rows.end(), kRows);
+  const Dataset train = noisy.data.Select(train_rows);
+  const size_t dims = train.NumDims();
+  const Dataset queries = noisy.data.Select(query_rows);
+  const std::vector<double> points(queries.values().begin(),
+                                   queries.values().end());
+
+  const std::string csv_path = base_ + "/adult.csv";
+  const std::string mc_path = base_ + "/mc.txt";
+  ASSERT_TRUE(WriteCsv(train, csv_path).ok());
+  MicroClusterer::Options mc_options;
+  mc_options.num_clusters = 140;
+  ASSERT_TRUE(SaveMicroClusters(
+                  BuildMicroClusters(train, noisy.errors.Select(train_rows),
+                                     mc_options)
+                      .value(),
+                  mc_path)
+                  .ok());
+  {
+    const std::string manifest = "udm-models 1\n"
+                                 "error_kde ekde " + csv_path + " 0.25\n"
+                                 "mc mc " + mc_path + "\n";
+    FILE* f = std::fopen((base_ + "/manifest.txt").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(manifest.data(), 1, manifest.size(), f);
+    std::fclose(f);
+  }
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadManifest(base_ + "/manifest.txt").ok());
+  unlink(csv_path.c_str());
+  unlink(mc_path.c_str());
+  ASSERT_GT(registry.Find("ekde")->index_cells, 0u);
+
+  // The serial reference, and each batch's full kernel-eval cost.
+  struct Variant {
+    std::string model;
+    bool log_space = false;
+    std::vector<double> serial;
+    uint64_t cost = 0;
+  };
+  std::vector<Variant> variants;
+  for (const char* model : {"ekde", "mc"}) {
+    for (bool log_space : {false, true}) {
+      EvalRequest request;
+      request.points = points;
+      request.threads = 1;
+      request.log_space = log_space;
+      const EvalResult serial =
+          registry.Find(model)->Evaluate(request).value();
+      ASSERT_EQ(serial.densities.size(), kPoints);
+      if (std::string(model) == "ekde") {
+        // The batch stayed on the spatial index: one query per chunk.
+        EXPECT_GT(serial.stats.cells_visited, 0u);
+      }
+      variants.push_back(
+          {model, log_space, serial.densities, serial.stats.kernel_evals});
+    }
+  }
+
+  ServerOptions server_options = SmallServer();
+  server_options.max_queue = 64;  // stay below the degrade watermark
+  server_options.limits = ProtocolLimits{};  // frames carry 64 full rows
+  Server server(&registry, server_options);
+  EXPECT_EQ(server.eval_width(), ThreadPool::HardwareThreads());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Every client sends every (variant, budgeted) pair, each from a
+  // different starting offset, so all of them overlap in the workers.
+  constexpr size_t kClients = 4;
+  const size_t requests_per_client = 2 * variants.size();
+  struct Sent {
+    size_t variant = 0;
+    bool budgeted = false;
+    Result<ServeResponse> response = Status::Internal("unset");
+  };
+  std::vector<std::vector<Sent>> sent(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Result<ServeClient> client =
+          ServeClient::Connect(server_options.socket_path);
+      for (size_t r = 0; r < requests_per_client; ++r) {
+        const size_t k = (r + c * 3) % requests_per_client;
+        Sent& out = sent[c].emplace_back();
+        out.variant = k / 2;
+        out.budgeted = k % 2 == 1;
+        if (!client.ok()) {
+          out.response = client.status();
+          continue;
+        }
+        const Variant& v = variants[out.variant];
+        ServeRequest request;
+        request.op = ServeOp::kEval;
+        request.model = v.model;
+        request.id_json = std::to_string(c * 100 + r);
+        request.dims = dims;
+        request.num_points = kPoints;
+        request.points = points;
+        request.log_space = v.log_space;
+        request.deadline_ms = 10000.0;
+        request.eval_budget = out.budgeted ? std::max<uint64_t>(v.cost / 4, 1)
+                                           : 0;
+        out.response = client.value().Call(request, 20000.0);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server.Drain();
+  ExpectNoLeakedRequests(server.Counters());
+
+  for (size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(sent[c].size(), requests_per_client);
+    for (const Sent& s : sent[c]) {
+      const Variant& v = variants[s.variant];
+      const std::string what = v.model + (v.log_space ? " log" : " linear") +
+                               (s.budgeted ? " budgeted" : "");
+      ASSERT_TRUE(s.response.ok()) << what << ": "
+                                   << s.response.status().ToString();
+      const ServeResponse& served = s.response.value();
+      if (!s.budgeted) {
+        EXPECT_EQ(served.status, ServeStatus::kOk) << what << served.message;
+        EXPECT_EQ(Bits(served.densities), Bits(v.serial)) << what;
+        continue;
+      }
+      // A quarter of the cost cannot finish the batch: either a prefix
+      // came back, or the budget ran out before any chunk completed.
+      if (served.status == ServeStatus::kResourceExhausted) continue;
+      ASSERT_EQ(served.status, ServeStatus::kPartial)
+          << what << served.message;
+      EXPECT_EQ(served.stop_cause, "budget") << what;
+      ASSERT_LT(served.densities.size(), kPoints) << what;
+      EXPECT_EQ(Bits(served.densities),
+                Bits(std::span<const double>(v.serial).first(
+                    served.densities.size())))
+          << what;
+    }
+  }
 }
 
 }  // namespace

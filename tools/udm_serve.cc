@@ -1,7 +1,7 @@
 // udm_serve — fault-tolerant density-serving daemon.
 //
 //   udm_serve --manifest models.txt --socket /tmp/udm.sock
-//             [--workers 2] [--eval-threads 0]
+//             [--workers 2]
 //             [--max-queue 64] [--degrade-watermark 0.5]
 //             [--degraded-deadline-fraction 0.35]
 //             [--default-deadline-ms 250] [--max-deadline-ms 10000]
@@ -20,7 +20,9 @@
 // requests on the unix socket, and on SIGTERM/SIGINT drains gracefully:
 // stops accepting, finishes or cancels in-flight work within
 // --drain-deadline-ms, writes the final RunReport (--metrics-out), and
-// exits 0.
+// exits 0. Each eval batch runs at the host's hardware width (bit-identical
+// to serial); classify batches run serially (see serve/server.h). An
+// unknown flag, or a numeric flag whose value does not parse, exits 2.
 //
 // --smoke is the self-contained tier-1 fixture: it generates a dataset and
 // manifest in a scratch directory, serves on a scratch socket, drives its
@@ -36,14 +38,21 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/number_text.h"
+#include "common/parallel.h"
 #include "common/simd.h"
 #include "common/status.h"
 #include "obs/access_log.h"
@@ -58,6 +67,54 @@ namespace {
 
 using Flags = std::map<std::string, std::string>;
 
+enum class FlagKind { kSwitch, kText, kCount, kReal };
+
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+};
+
+/// Every flag udm_serve reads; ParseFlags rejects any other name, so a
+/// typo fails the launch instead of silently running on a default.
+constexpr FlagSpec kFlagSpecs[] = {
+    {"smoke", FlagKind::kSwitch},
+    {"manifest", FlagKind::kText},
+    {"socket", FlagKind::kText},
+    {"workers", FlagKind::kCount},
+    {"max-queue", FlagKind::kCount},
+    {"degrade-watermark", FlagKind::kReal},
+    {"degraded-deadline-fraction", FlagKind::kReal},
+    {"default-deadline-ms", FlagKind::kReal},
+    {"max-deadline-ms", FlagKind::kReal},
+    {"drain-deadline-ms", FlagKind::kReal},
+    {"read-timeout-ms", FlagKind::kReal},
+    {"write-timeout-ms", FlagKind::kReal},
+    {"max-connections", FlagKind::kCount},
+    {"retry", FlagKind::kCount},
+    {"stats-window-s", FlagKind::kReal},
+    {"access-log", FlagKind::kText},
+    {"rotate-bytes", FlagKind::kCount},
+    {"snapshot-out", FlagKind::kText},
+    {"snapshot-interval-ms", FlagKind::kReal},
+    {"metrics-out", FlagKind::kText},
+};
+
+/// A non-negative decimal integer spanning the whole token.
+std::optional<size_t> ParseCount(const std::string& text) {
+  size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// A finite number spanning the whole token.
+std::optional<double> ParseReal(const std::string& text) {
+  const std::optional<double> value = udm::ParseDouble(text);
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
+}
+
 udm::Result<Flags> ParseFlags(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
@@ -67,14 +124,30 @@ udm::Result<Flags> ParseFlags(int argc, char** argv) {
                                           "'");
     }
     const std::string name = key.substr(2);
-    if (name == "smoke") {  // the only boolean flag
+    const auto spec =
+        std::find_if(std::begin(kFlagSpecs), std::end(kFlagSpecs),
+                     [&name](const FlagSpec& s) { return name == s.name; });
+    if (spec == std::end(kFlagSpecs)) {
+      return udm::Status::InvalidArgument("unknown flag '" + key + "'");
+    }
+    if (spec->kind == FlagKind::kSwitch) {
       flags[name] = "1";
       continue;
     }
     if (i + 1 >= argc) {
       return udm::Status::InvalidArgument("flag '" + key + "' needs a value");
     }
-    flags[name] = argv[++i];
+    const std::string value = argv[++i];
+    if (spec->kind == FlagKind::kCount && !ParseCount(value)) {
+      return udm::Status::InvalidArgument(
+          "flag '" + key + "' needs a non-negative integer, got '" + value +
+          "'");
+    }
+    if (spec->kind == FlagKind::kReal && !ParseReal(value)) {
+      return udm::Status::InvalidArgument(
+          "flag '" + key + "' needs a finite number, got '" + value + "'");
+    }
+    flags[name] = value;
   }
   return flags;
 }
@@ -85,16 +158,15 @@ std::string GetFlag(const Flags& flags, const std::string& key,
   return it == flags.end() ? fallback : it->second;
 }
 
+// The numeric getters read values ParseFlags already validated.
 double GetDouble(const Flags& flags, const std::string& key, double fallback) {
   const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::atof(it->second.c_str());
+  return it == flags.end() ? fallback : *ParseReal(it->second);
 }
 
 size_t GetSize(const Flags& flags, const std::string& key, size_t fallback) {
   const auto it = flags.find(key);
-  return it == flags.end()
-             ? fallback
-             : static_cast<size_t>(std::atoll(it->second.c_str()));
+  return it == flags.end() ? fallback : *ParseCount(it->second);
 }
 
 // Self-pipe for async-signal-safe shutdown: the handler only writes one
@@ -266,6 +338,12 @@ bool RunSmokeChecks(const std::string& socket_path,
             qps != nullptr && qps->is_number() && qps->number() > 0.0 &&
                 p99 != nullptr && p99->is_number() && p99->number() > 0.0,
             "window qps/p99 populated over the smoke run");
+      const JsonValue* eval_width = doc.value().Find("eval_width");
+      check("smoke_stats_eval_width",
+            eval_width != nullptr && eval_width->is_number() &&
+                eval_width->number() ==
+                    static_cast<double>(udm::ThreadPool::HardwareThreads()),
+            "eval_width is the host's hardware width");
       const JsonValue* health = doc.value().Find("health");
       const JsonValue* healthy =
           health != nullptr ? health->Find("healthy") : nullptr;
@@ -333,9 +411,12 @@ bool RunSmokeChecks(const std::string& socket_path,
                         std::string::npos &&
                     text.find("udm_serve_request_seconds_bucket") !=
                         std::string::npos &&
+                    text.find("# TYPE udm_serve_eval_width gauge") !=
+                        std::string::npos &&
                     text.find("_window") != std::string::npos;
     check("smoke_metrics_text", ok,
-          "exposition has typed counters, histogram buckets, window series");
+          "exposition has typed counters, the eval-width gauge, histogram "
+          "buckets, window series");
   } else {
     check("smoke_metrics_text", false, metrics.status().ToString());
   }
@@ -365,7 +446,6 @@ udm::Status Run(const Flags& flags) {
   udm::serve::ServerOptions options;
   options.socket_path = socket_path;
   options.workers = GetSize(flags, "workers", 2);
-  options.eval_threads = GetSize(flags, "eval-threads", 0);
   options.max_queue = GetSize(flags, "max-queue", 64);
   options.degrade_watermark = GetDouble(flags, "degrade-watermark", 0.5);
   options.degraded_deadline_fraction =
@@ -411,8 +491,9 @@ udm::Status Run(const Flags& flags) {
 
   udm::serve::Server server(&registry, options);
   UDM_RETURN_IF_ERROR(server.Start());
-  std::printf("listening on %s (%zu models, %zu workers)\n",
-              options.socket_path.c_str(), registry.size(), options.workers);
+  std::printf("listening on %s (%zu models, %zu workers, eval width %zu)\n",
+              options.socket_path.c_str(), registry.size(), options.workers,
+              server.eval_width());
   std::fflush(stdout);
 
   // Background metrics snapshotter (--snapshot-out; --smoke defaults it).
