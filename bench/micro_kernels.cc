@@ -61,9 +61,9 @@ void BM_SweepLogKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepLogKernel)->Arg(0)->Arg(1)->Arg(2);
 
-// The exp-and-sum pass (vectorized polynomial exp + in-order Kahan drain
-// + pruning-gap mask) on a realistic log-term spread: most terms live,
-// a tail below the gap pruned.
+// The exp-and-sum pass (vectorized table exp + striped lane sums +
+// pruning-gap mask; the scalar level is std::exp + Kahan) on a realistic
+// log-term spread: most terms live, a tail below the gap pruned.
 void BM_PrunedExpAccum(benchmark::State& state) {
   const auto level = static_cast<udm::SimdLevel>(state.range(0));
   if (level > udm::DetectBestSimdLevel()) {
@@ -79,7 +79,7 @@ void BM_PrunedExpAccum(benchmark::State& state) {
   }
   for (auto _ : state) {
     udm::kde_internal::ExpSumState sum_state;
-    dispatch.pruned_exp_accum(terms.data(), n, /*max_term=*/0.0,
+    dispatch.pruned_exp_accum(terms.data(), n, /*offset=*/0, /*max_term=*/0.0,
                               /*shift=*/0.0, /*gap=*/37.0, sum_state);
     benchmark::DoNotOptimize(sum_state.Total());
   }

@@ -213,7 +213,7 @@ const SpatialIndex* ResolveBatchIndex(const SpatialIndex* index,
 /// decision), then every cell whose bound the running max cannot prune;
 /// a skipped cell's terms all sit > gap below the final max (see the
 /// bound derivation, DESIGN.md §4j), so the exact maximum and the pass-2
-/// Kahan add sequence match the baseline term for term. Skipped cells
+/// add sequence match the baseline term for term. Skipped cells
 /// charge no kernel evaluations. Consecutive surviving cells are swept as
 /// one merged range, so per-chunk costs (context charge/check, the
 /// kernel-eval counter) amortize over kEvalChunk summands even when the
@@ -223,7 +223,8 @@ const SpatialIndex* ResolveBatchIndex(const SpatialIndex* index,
 /// `simd` is the model's resolved kernel dispatch: the merged-run sweeps
 /// run through the caller's `sweep` callback (which must use the same
 /// dispatch), and pass 2 runs through simd.pruned_exp_accum with one
-/// resumable ExpSumState across all visited cells — the Kahan adds land
+/// resumable ExpSumState across all visited cells, each run passing its
+/// first position as the global offset — every term lands in its stripe
 /// in term order regardless of how the cells partition the table, so the
 /// result is bit-identical to the non-indexed path at the same level.
 template <typename SweepFn>
@@ -317,8 +318,8 @@ Result<double> IndexedPrunedSum(const SpatialIndex& index,
       state.pruned += end - begin;
       continue;
     }
-    simd.pruned_exp_accum(terms.data() + begin, end - begin, run_max, shift,
-                          log_prune_gap, state);
+    simd.pruned_exp_accum(terms.data() + begin, end - begin, begin, run_max,
+                          shift, log_prune_gap, state);
   }
   counters.pruned_terms += state.pruned;
   return log_space ? run_max + std::log(state.Total())

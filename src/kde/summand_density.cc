@@ -311,7 +311,7 @@ double SummandDensity::SumTerms(const double* terms, double max_term,
                                 bool log_space, uint64_t& pruned) const {
   if (!std::isfinite(max_term)) return log_space ? kNegInf : 0.0;
   ExpSumState state;
-  simd_->pruned_exp_accum(terms, num_points(), max_term,
+  simd_->pruned_exp_accum(terms, num_points(), /*offset=*/0, max_term,
                           log_space ? max_term : 0.0, log_prune_threshold_,
                           state);
   pruned += state.pruned;

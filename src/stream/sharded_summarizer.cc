@@ -61,6 +61,23 @@ StopCause WorseStopCause(StopCause a, StopCause b) {
   return StopCause::kCompleted;
 }
 
+/// Opens shard `index`'s checkpoint rotation into `slot`.
+Status OpenShardCheckpoints(const ShardedSummarizerOptions& options,
+                            size_t index,
+                            std::optional<CheckpointManager>& slot) {
+  CheckpointOptions ck;
+  ck.directory = options.checkpoint_dir + "/shard-" + std::to_string(index);
+  ck.retry = options.retry;
+  ck.io_faults = options.io_faults;
+  auto manager = CheckpointManager::Create(ck);
+  if (!manager.ok()) {
+    return manager.status().WithContext("ShardedSummarizer shard " +
+                                        std::to_string(index) + " checkpoints");
+  }
+  slot.emplace(std::move(manager).value());
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* ShardHealthToString(ShardHealth health) {
@@ -99,16 +116,8 @@ Result<ShardedSummarizer> ShardedSummarizer::Create(
     }
     shard.summarizer.emplace(std::move(summarizer).value());
     if (!options.checkpoint_dir.empty()) {
-      CheckpointOptions ck;
-      ck.directory = options.checkpoint_dir + "/shard-" + std::to_string(i);
-      ck.retry = options.retry;
-      ck.io_faults = options.io_faults;
-      auto manager = CheckpointManager::Create(ck);
-      if (!manager.ok()) {
-        return manager.status().WithContext("ShardedSummarizer shard " +
-                                            std::to_string(i) + " checkpoints");
-      }
-      shard.checkpoints.emplace(std::move(manager).value());
+      Status opened = OpenShardCheckpoints(options, i, shard.checkpoints);
+      if (!opened.ok()) return opened;
     }
   }
   return sharded;

@@ -411,6 +411,19 @@ TEST(SimdDispatchTest, SweepBitIdenticalToScalarAtEverySize) {
   }
 }
 
+/// Tests run once per dispatch level; levels the host lacks skip.
+class LevelTest : public ::testing::TestWithParam<SimdLevel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > DetectBestSimdLevel()) {
+      GTEST_SKIP() << "host CPU lacks the " << SimdLevelName(GetParam())
+                   << " level";
+    }
+  }
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
 TEST(SimdDispatchTest, ExpAccumMatchesScalarWithIdenticalPrunedCounts) {
   Rng rng(92);
   const auto& scalar = kde_internal::GetSimdDispatch(SimdLevel::kScalar);
@@ -428,62 +441,150 @@ TEST(SimdDispatchTest, ExpAccumMatchesScalarWithIdenticalPrunedCounts) {
       if (n == 0) max_term = 0.0;
       for (const double shift : {0.0, max_term}) {
         kde_internal::ExpSumState ref;
-        scalar.pruned_exp_accum(terms.data(), n, max_term, shift, gap, ref);
+        scalar.pruned_exp_accum(terms.data(), n, 0, max_term, shift, gap,
+                                ref);
         kde_internal::ExpSumState got;
-        dispatch.pruned_exp_accum(terms.data(), n, max_term, shift, gap, got);
+        dispatch.pruned_exp_accum(terms.data(), n, 0, max_term, shift, gap,
+                                  got);
         EXPECT_EQ(ref.pruned, got.pruned)
             << "pruned count level=" << SimdLevelName(level) << " n=" << n;
         ExpectRelClose(got.Total(), ref.Total(), "exp-accum sum");
-
-        // Split invariance at a fixed level: feeding the same terms as
-        // several ragged ranges through one resumable state must be
-        // bit-identical to the single full-array call — this is what
-        // makes the indexed path's per-cell accumulation match the dense
-        // path at every level.
-        kde_internal::ExpSumState split;
-        size_t i = 0;
-        for (const size_t step : {size_t{3}, size_t{7}, size_t{64}}) {
-          const size_t len = std::min(step, n - i);
-          dispatch.pruned_exp_accum(terms.data() + i, len, max_term, shift,
-                                    gap, split);
-          i += len;
-        }
-        dispatch.pruned_exp_accum(terms.data() + i, n - i, max_term, shift,
-                                  gap, split);
-        EXPECT_EQ(got.Total(), split.Total())
-            << "split invariance level=" << SimdLevelName(level)
-            << " n=" << n;
-        EXPECT_EQ(got.pruned, split.pruned);
       }
     }
   }
 }
 
-TEST(SimdDispatchTest, PolyExpTracksStdExpAcrossTheFiniteRange) {
-  // The polynomial exp is documented at <= 2 ulp per term; sweep the
-  // whole finite range and the reduction seams (multiples of ln 2,
-  // near-zero) and require 1e-13 relative — looser than 2 ulp, far
-  // tighter than the 1e-12 end-to-end contract.
+/// The state after feeding terms[0, n) — global indices [offset, offset +
+/// n) — as consecutive runs of the given lengths, each with its own
+/// global offset (the last run takes whatever is left).
+kde_internal::ExpSumState SplitSum(const kde_internal::SimdDispatch& dispatch,
+                                   const std::vector<double>& terms,
+                                   size_t offset, const std::vector<size_t>& runs,
+                                   double max_term, double shift, double gap) {
+  kde_internal::ExpSumState state;
+  size_t i = 0;
+  for (const size_t run : runs) {
+    const size_t len = std::min(run, terms.size() - i);
+    dispatch.pruned_exp_accum(terms.data() + i, len, offset + i, max_term,
+                              shift, gap, state);
+    i += len;
+  }
+  dispatch.pruned_exp_accum(terms.data() + i, terms.size() - i, offset + i,
+                            max_term, shift, gap, state);
+  return state;
+}
+
+TEST_P(LevelTest, ExpAccumSplitInvariantAtEveryPhase) {
+  // Split invariance at a fixed level: feeding the same terms as ragged
+  // runs through one resumable state is bit-identical to one call over
+  // the whole array, whatever the start phase of the array and of each
+  // run. This is what makes the indexed path's per-cell accumulation
+  // match the dense path at every level.
+  const auto& dispatch = kde_internal::GetSimdDispatch(GetParam());
+  Rng rng(96);
+  const double gap = 37.0;
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                         size_t{9}, size_t{17}, size_t{140}, size_t{301}}) {
+    std::vector<double> terms(n);
+    double max_term = 0.0;
+    for (double& t : terms) {
+      t = -std::fabs(rng.Gaussian(0.0, 25.0));
+      max_term = std::max(max_term, t);
+    }
+    for (size_t phase = 0; phase < 8; ++phase) {
+      const size_t offset = 8 * 37 + phase;
+      for (const double shift : {0.0, max_term}) {
+        const kde_internal::ExpSumState whole =
+            SplitSum(dispatch, terms, offset, {}, max_term, shift, gap);
+        for (int trial = 0; trial < 24; ++trial) {
+          // Ragged runs of every length 0..17, empty runs included.
+          std::vector<size_t> runs(n / 3 + 2);
+          for (size_t& run : runs) run = rng.UniformInt(18);
+          const kde_internal::ExpSumState split =
+              SplitSum(dispatch, terms, offset, runs, max_term, shift, gap);
+          ASSERT_EQ(Bits(split.Total()), Bits(whole.Total()))
+              << "n=" << n << " phase=" << phase << " trial=" << trial;
+          ASSERT_EQ(split.pruned, whole.pruned);
+        }
+      }
+    }
+  }
+}
+
+/// exp(x) through the level's exp-and-sum: one kept term at global index
+/// `offset`, so the sum is that term's exp exactly.
+double OneTermExp(const kde_internal::SimdDispatch& dispatch, double x,
+                  size_t offset = 0) {
+  kde_internal::ExpSumState state;
+  dispatch.pruned_exp_accum(&x, 1, offset, /*max_term=*/x, /*shift=*/0.0,
+                            /*gap=*/0.0, state);
+  EXPECT_EQ(state.pruned, 0u) << "x=" << x;
+  return state.Total();
+}
+
+/// Distance in units in the last place between two finite non-negative
+/// doubles.
+uint64_t UlpDistance(double a, double b) {
+  const uint64_t x = Bits(a);
+  const uint64_t y = Bits(b);
+  return x > y ? x - y : y - x;
+}
+
+TEST_P(LevelTest, OneTermExpTracksStdExp) {
+  // The vector exp is documented at <= 1 ulp of the correctly rounded
+  // exp per term; require <= 2 ulp of std::exp and 1e-13 relative across
+  // the finite range and the reduction seams (the k-rounding points are
+  // odd multiples of ln2/16), far tighter than the 1e-12 end-to-end
+  // contract. The scalar level is std::exp itself.
+  const auto& dispatch = kde_internal::GetSimdDispatch(GetParam());
+  const bool scalar = GetParam() == SimdLevel::kScalar;
+  const auto expect_close = [&](double x, size_t offset) {
+    const double got = OneTermExp(dispatch, x, offset);
+    const double want = std::exp(x);
+    ASSERT_NEAR(got, want, 1e-13 * want) << "x=" << x;
+    ASSERT_LE(UlpDistance(got, want), scalar ? 0u : 2u) << "x=" << x;
+  };
   Rng rng(93);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.Gaussian(0.0, 200.0);
-    if (x > 709.0 || x < -700.0) continue;
-    const double got = kde_internal::SimdPolyExp(x);
-    const double want = std::exp(x);
-    EXPECT_NEAR(got, want, 1e-13 * want) << "x=" << x;
+  for (int i = 0; i < 200000; ++i) {
+    const double x = (i & 1) ? -700.0 + 1409.0 * rng.Uniform()
+                             : -40.0 * rng.Uniform();
+    expect_close(x, static_cast<size_t>(i) % 8);
   }
-  for (int k = -1000; k <= 1000; ++k) {
-    const double x = 0.6931471805599453 * k * 0.5;
-    const double got = kde_internal::SimdPolyExp(x);
-    const double want = std::exp(x);
-    EXPECT_NEAR(got, want, 1e-13 * want) << "x=" << x;
+  for (int k = -32 * 1010; k <= 32 * 1023; ++k) {
+    expect_close(0.6931471805599453 * k / 32.0, static_cast<size_t>(k) & 7);
   }
-  EXPECT_EQ(kde_internal::SimdPolyExp(0.0), 1.0);
-  EXPECT_EQ(kde_internal::SimdPolyExp(-750.0), 0.0) << "flush-to-zero floor";
-  EXPECT_EQ(kde_internal::SimdPolyExp(800.0),
-            std::numeric_limits<double>::infinity());
+  // The overflow point: finite wherever std::exp is, +inf above
+  // ln(DBL_MAX) ≈ 709.7827, including [709.44, 709.78], where a scale
+  // of 2^round(x·log2e) built in one exponent field would overflow.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (int i = 1; i <= 1000; ++i) {
+    const double x = 709.0 + i / 1000.0;
+    const double want = std::exp(x);
+    const double got = OneTermExp(dispatch, x);
+    if (std::isinf(want)) {
+      EXPECT_EQ(got, kInf) << "x=" << x;
+    } else {
+      expect_close(x, 0);
+    }
+  }
+  const double x_max = std::log(std::numeric_limits<double>::max());
+  EXPECT_TRUE(std::isfinite(OneTermExp(dispatch, x_max)));
+  expect_close(709.7, 0);  // 1.655e308
+  for (const double x : {710.0, 800.0, kInf}) {
+    EXPECT_EQ(OneTermExp(dispatch, x), kInf) << "x=" << x;
+  }
+  EXPECT_EQ(Bits(OneTermExp(dispatch, 0.0)), Bits(1.0));
+  EXPECT_EQ(Bits(OneTermExp(dispatch, -0.0)), Bits(1.0));
+  EXPECT_EQ(Bits(OneTermExp(dispatch, -kInf)), Bits(0.0)) << "-inf -> +0";
   EXPECT_TRUE(std::isnan(
-      kde_internal::SimdPolyExp(std::numeric_limits<double>::quiet_NaN())));
+      OneTermExp(dispatch, std::numeric_limits<double>::quiet_NaN())));
+  // Below -708 the vector levels flush to +0; std::exp is still subnormal
+  // down to -745.
+  for (const double x : {-708.0000000000001, -720.0, -745.0, -750.0}) {
+    const double got = OneTermExp(dispatch, x);
+    EXPECT_EQ(Bits(got), Bits(scalar ? std::exp(x) : 0.0)) << "x=" << x;
+  }
+  expect_close(-708.0, 0);
 }
 
 TEST(SimdDispatchTest, ForcedLevelModelsMatchScalarModel) {
@@ -525,19 +626,9 @@ TEST(SimdDispatchTest, ForcedLevelModelsMatchScalarModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Roll-up fast-path primitives: the dispatched running max, the FMA build
-// of the scalar polynomial exp, and the one-pass singleton densities. Each
-// must reproduce its reference bit for bit.
-
-class LevelTest : public ::testing::TestWithParam<SimdLevel> {
- protected:
-  void SetUp() override {
-    if (GetParam() > DetectBestSimdLevel()) {
-      GTEST_SKIP() << "host CPU lacks the " << SimdLevelName(GetParam())
-                   << " level";
-    }
-  }
-};
+// Roll-up fast-path primitives: the dispatched running max and the
+// one-pass singleton densities. Each must reproduce its reference bit for
+// bit.
 
 /// The reference fold MaxTerm must equal: std::max(m, t) in term order.
 double FoldMax(const std::vector<double>& terms, double init) {
@@ -545,8 +636,6 @@ double FoldMax(const std::vector<double>& terms, double init) {
   for (const double t : terms) m = std::max(m, t);
   return m;
 }
-
-uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 TEST_P(LevelTest, MaxTermMatchesScalarFoldBitwise) {
   const auto& dispatch = kde_internal::GetSimdDispatch(GetParam());
@@ -598,14 +687,18 @@ TEST_P(LevelTest, MaxTermMatchesScalarFoldBitwise) {
   }
 }
 
-TEST(SimdDispatchTest, FmaPolyExpMatchesPortableReferenceBitwise) {
-  if (DetectBestSimdLevel() < SimdLevel::kAvx2) {
-    GTEST_SKIP() << "host CPU lacks FMA (no vector level runs here, so "
-                    "nothing calls the FMA build)";
+TEST(SimdDispatchTest, VectorLevelsReturnTheSameBits) {
+  // AVX2 and AVX-512 run one exp algorithm (the AVX2 in-register lookup
+  // and exponent-field scale reproduce vpermpd and vscalefpd) and one
+  // stripe layout, so each term's exp and each sum agree bit for bit.
+  if (DetectBestSimdLevel() < SimdLevel::kAvx512) {
+    GTEST_SKIP() << "host CPU lacks AVX-512 (only one vector level runs)";
   }
-  const auto expect_same = [](double x) {
-    const double want = kde_internal::SimdPolyExp(x);
-    const double got = kde_internal::SimdPolyExpFma(x);
+  const auto& avx2 = kde_internal::GetSimdDispatch(SimdLevel::kAvx2);
+  const auto& avx512 = kde_internal::GetSimdDispatch(SimdLevel::kAvx512);
+  const auto expect_same = [&](double x) {
+    const double want = OneTermExp(avx512, x);
+    const double got = OneTermExp(avx2, x);
     if (std::isnan(want)) {
       ASSERT_TRUE(std::isnan(got)) << "x=" << x;
     } else {
@@ -619,10 +712,10 @@ TEST(SimdDispatchTest, FmaPolyExpMatchesPortableReferenceBitwise) {
                              : -40.0 * rng.Uniform();
     expect_same(x);
   }
-  // k-rounding boundaries: x·log2e within ±50 ulp of every half-integer
-  // j + 1/2, where the magic-number round picks between two k.
-  for (int j = -1024; j <= 1024; ++j) {
-    double x = (j + 0.5) * 0.6931471805599453;
+  // k-rounding boundaries: x·8·log2e within ±50 ulp of every
+  // half-integer j + 1/2, where the round picks between two k.
+  for (int j = -8 * 1022; j <= 8 * 1025; j += 3) {
+    double x = (j + 0.5) * 0.6931471805599453 / 8.0;
     for (int step = 0; step < 50; ++step) x = std::nextafter(x, -1e308);
     for (int step = 0; step <= 100; ++step) {
       expect_same(x);
@@ -634,6 +727,20 @@ TEST(SimdDispatchTest, FmaPolyExpMatchesPortableReferenceBitwise) {
                          -std::numeric_limits<double>::infinity(),
                          std::numeric_limits<double>::quiet_NaN()}) {
     expect_same(x);
+  }
+  // Whole sums, at every start phase.
+  for (const size_t n : {size_t{5}, size_t{140}, size_t{1003}}) {
+    std::vector<double> terms(n);
+    for (double& t : terms) t = -std::fabs(rng.Gaussian(0.0, 25.0));
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const kde_internal::ExpSumState a =
+          SplitSum(avx2, terms, offset, {}, 0.0, 0.0, 37.0);
+      const kde_internal::ExpSumState b =
+          SplitSum(avx512, terms, offset, {}, 0.0, 0.0, 37.0);
+      EXPECT_EQ(Bits(a.Total()), Bits(b.Total()))
+          << "n=" << n << " offset=" << offset;
+      EXPECT_EQ(a.pruned, b.pruned);
+    }
   }
 }
 

@@ -5,8 +5,10 @@
 // expected values in the tests were recorded from the scalar row-major
 // argmin loops that the SoA centroid table replaced; every SIMD level of
 // the table must reproduce them bit for bit (DESIGN.md §4k). For the
-// roll-up classifier they were recorded, one per SIMD level, before the
-// singleton fast path landed; the fast path must reproduce every rule bit.
+// roll-up classifier they are one per SIMD level; the fast path must
+// reproduce every rule bit. The library is compiled with
+// -ffp-contract=off, so a -march build draws the same data and sums and
+// must reproduce the same digests.
 
 #include <bit>
 #include <cstdint>
@@ -52,23 +54,6 @@ class Digest {
  private:
   uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
-
-/// Whether the recorded digests apply to this build. They were recorded
-/// in the default build (baseline x86-64, no FMA). Where -march enables
-/// FMA, GCC's C++ default -ffp-contract=fast contracts the data generators
-/// and the CF-tuple updates, so the inputs and sums differ before any
-/// assignment runs. There, centroid_table_test's in-process comparison of
-/// every level with the scalar reference carries the contract.
-inline bool DigestsApply() {
-#if defined(__FMA__)
-  return false;
-#else
-  return true;
-#endif
-}
-
-inline constexpr const char* kDigestsSkipped =
-    "golden digests are recorded for builds without -march FMA contraction";
 
 inline std::string Hex(uint64_t v) {
   char buf[32];

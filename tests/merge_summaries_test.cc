@@ -284,7 +284,6 @@ TEST(MergeSummariesTest, MergedSummarySerializesAndRoundTrips) {
 // ---------------------------------------------------------------------------
 
 TEST(MergeGoldenTest, OverBudgetMergeIsByteIdentical) {
-  if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
   const UncertainDataset u = golden::ForestLike(4000);
   constexpr size_t kParts = 4;
   std::vector<std::vector<MicroCluster>> parts;
@@ -315,7 +314,6 @@ TEST(MergeGoldenTest, OverBudgetMergeIsByteIdentical) {
 }
 
 TEST(MergeGoldenTest, ShardedCheckpointAndMergedOutputAreByteIdentical) {
-  if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
   namespace fs = std::filesystem;
   const UncertainDataset u = golden::ForestLike(4000);
   // Per-process directory: the SIMD-level variants of this suite run

@@ -218,7 +218,6 @@ TEST(DistanceTest, Figure2Scenario) {
 // ---------------------------------------------------------------------------
 
 TEST(AssignmentGoldenTest, BuildMicroClustersSummariesAreByteIdentical) {
-  if (!golden::DigestsApply()) GTEST_SKIP() << golden::kDigestsSkipped;
   const UncertainDataset u = golden::ForestLike(5000);
   golden::Digest global;
   global.Clusters(BuildMicroClusters(u.data, u.errors).value());
