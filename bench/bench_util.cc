@@ -244,45 +244,6 @@ Result<Dataset> LoadDataset(const std::string& name, size_t default_n,
   return MakeUciLike(name, RowsFromEnv(default_n), seed);
 }
 
-Result<Dataset> MakeClusteredDataset(size_t n, uint64_t seed) {
-  // Fourteen unit-spread clusters on the even-parity sites of a {0,1,2}³
-  // lattice with constant 100 (an FCC cell, in spread units), with
-  // heterogeneous per-dimension scales. The lattice is deliberate: every
-  // inter-cluster distance is at least √2·100, about 1.5x the
-  // per-dimension data sigma (~93), so with the bandwidth the index
-  // benches use (Silverman scaled by 0.7 — Silverman's rule assumes
-  // unimodality and over-smooths a 14-mode mixture) the worst pairwise
-  // log-kernel deficit is ~49 nats at n = 4000, past the 37-nat pruning
-  // gap with a third to spare and growing as n^{2/5}. At n = 1000
-  // kernels are still too wide for lattice-adjacent pairs, which is why
-  // the speedup assertions start at 4000. Centers drawn at random (as in
-  // MakeMixtureDataset) would instead put a χ²-tail of cluster pairs
-  // inside the gap at any separation, capping prunability around 60-70%.
-  GmmSpec spec;
-  spec.num_dims = 3;
-  const double lattice = 100.0;
-  const double scales[3] = {5.0, 900.0, 1.0};
-  const double offsets[3] = {30.0, 20000.0, 3.0};
-  int label = 0;
-  for (int a = 0; a <= 2; ++a) {
-    for (int b = 0; b <= 2; ++b) {
-      for (int c = 0; c <= 2; ++c) {
-        if ((a + b + c) % 2 != 0) continue;
-        GmmComponent comp;
-        comp.mean = {(a * lattice) * scales[0] + offsets[0],
-                     (b * lattice) * scales[1] + offsets[1],
-                     (c * lattice) * scales[2] + offsets[2]};
-        comp.stddev = {scales[0], scales[1], scales[2]};
-        comp.weight = 1.0;
-        comp.label = label++ % 2;
-        spec.components.push_back(comp);
-      }
-    }
-  }
-  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 0x1Du);
-  return SampleGmm(spec, n, &rng);
-}
-
 size_t RowsFromEnv(size_t fallback) {
   const char* env = std::getenv("UDM_BENCH_N");
   if (env == nullptr) return fallback;

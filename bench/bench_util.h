@@ -80,19 +80,6 @@ void ShapeCheck(const std::string& what, bool ok);
 Result<Dataset> LoadDataset(const std::string& name, size_t default_n,
                             uint64_t seed);
 
-/// Clustered, locality-rich workload for the spatial-index benches: a
-/// 3-dimensional mixture of 14 well-separated unit-spread Gaussian
-/// clusters on an FCC lattice (see the definition for the geometry
-/// math), with heterogeneous per-dimension scales. Every pair of cluster
-/// centers sits ≥ √2·100 within-cluster sigmas apart, so at bench sizes
-/// the bandwidth is a small fraction of the inter-cluster distance and
-/// most (query, summand) pairs are provably below the pruning gap — the
-/// regime the cell-pruned spatial index targets (DESIGN.md §4j).
-/// Contrast with the adult-like fixture (6 dims, heavy class overlap),
-/// where density mass has no low-dimensional locality and no
-/// bit-identical method can skip much. Deterministic in (n, seed).
-Result<Dataset> MakeClusteredDataset(size_t n, uint64_t seed);
-
 /// Returns UDM_BENCH_N if set, else `fallback`.
 size_t RowsFromEnv(size_t fallback);
 

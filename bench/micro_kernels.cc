@@ -15,6 +15,7 @@
 #include "common/number_text.h"
 #include "common/random.h"
 #include "common/simd.h"
+#include "dataset/synthetic.h"
 #include "dataset/uci_like.h"
 #include "error/perturbation.h"
 #include "kde/error_kde.h"
@@ -366,10 +367,12 @@ void BM_McDensityBatchEval(benchmark::State& state) {
 BENCHMARK(BM_McDensityBatchEval)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Single-thread batch evaluation on the clustered spatial-index fixture
-// (bench_util.h), indexed (kAuto, the default) vs the exact full scan
-// (kOff). BM_ExactKdeEval / BM_ExactKdeEvalNoIndex at the same N is the
-// index's headline speedup; bench/index_speedup sweeps it with prune-rate
-// diagnostics and asserts bit-identity between the two modes.
+// (dataset/synthetic.h), kAuto (the default) vs the exact full scan
+// (kOff). kAuto keeps the index at N = 4000, where BM_ExactKdeEval /
+// BM_ExactKdeEvalNoIndex is the index's headline speedup, and routes
+// N = 1000 to the dense path (the index would sweep 29% of the terms);
+// bench/index_speedup sweeps it with routing diagnostics and asserts
+// bit-identity between the modes.
 udm::Result<udm::EvalResult> ClusteredEval(size_t n, udm::IndexMode mode) {
   static std::map<size_t, udm::UncertainDataset>* datasets =
       new std::map<size_t, udm::UncertainDataset>();
@@ -377,13 +380,14 @@ udm::Result<udm::EvalResult> ClusteredEval(size_t n, udm::IndexMode mode) {
     udm::PerturbationOptions perturb;
     perturb.f = 0.01;
     datasets->emplace(
-        n, udm::Perturb(udm::bench::MakeClusteredDataset(n, 1).value(),
+        n, udm::Perturb(udm::MakeClusteredDataset(n, 1).value(),
                         perturb)
                .value());
   }
   const udm::UncertainDataset& uncertain = datasets->at(n);
   udm::DensityEvalOptions options;
-  options.bandwidth_scale = 0.7;  // see the fixture comment in bench_util.cc
+  // See the fixture comment in dataset/synthetic.cc.
+  options.bandwidth_scale = 0.7;
   static std::map<size_t, udm::ErrorKernelDensity>* kdes =
       new std::map<size_t, udm::ErrorKernelDensity>();
   if (kdes->find(n) == kdes->end()) {

@@ -26,7 +26,8 @@
 //   --mode M            eval | classify | mixed (default mixed)
 //   --sweep "1,2,.."    client counts per level (overrides --clients)
 //   --workers N         spawned daemon worker threads (default 1)
-//   --max-queue N       spawned daemon queue bound (default 8)
+//   --max-queue N       spawned daemon queue bound (default 8; with
+//                       --sweep, top level - workers - 1, at least 1)
 //   --smoke             tiny fixed workload for the tier-1 ctest fixture
 //   --scrape-interval-ms N  poll the stats op on a side connection every
 //                       N ms for the whole run and assert the admin path
@@ -557,14 +558,26 @@ int Run(const Flags& flags) {
     return 2;
   }
 
+  // Admission sheds when queued + in-flight requests reach max-queue, and
+  // a closed-loop client has at most one request in the daemon. A sweep's
+  // default bound leaves the top level's clients outnumbering max-queue +
+  // workers, so the daemon must shed even while `workers` clients sit
+  // between an answer and their next request — shedding_observed then
+  // checks the daemon, not a race between a client's resend and a
+  // worker's in-flight decrement.
+  const size_t workers = GetSize(flags, "workers", 1);
+  const size_t top_level = *std::max_element(levels.begin(), levels.end());
+  size_t default_max_queue = 8;
+  if (levels.size() > 1) {
+    default_max_queue = top_level > workers + 1 ? top_level - workers - 1 : 1;
+  }
   const std::string server_bin = GetFlag(flags, "server-bin", "");
   std::string socket_path = GetFlag(flags, "socket", "");
   SpawnedServer server;
   if (!server_bin.empty()) {
     const Status started = server.Start(
-        server_bin, GetSize(flags, "workers", 1),
-        GetSize(flags, "max-queue", 8), config.deadline_ms,
-        GetFlag(flags, "server-report", ""));
+        server_bin, workers, GetSize(flags, "max-queue", default_max_queue),
+        config.deadline_ms, GetFlag(flags, "server-report", ""));
     if (!started.ok()) {
       std::fprintf(stderr, "serve_loadgen: %s\n", started.ToString().c_str());
       return 1;

@@ -68,6 +68,19 @@ struct MixtureDatasetSpec {
 /// dimensions.
 Result<Dataset> MakeMixtureDataset(const MixtureDatasetSpec& spec, size_t n);
 
+/// Clustered, locality-rich workload for the spatial-index benches and
+/// tests: a 3-dimensional mixture of 14 well-separated unit-spread
+/// Gaussian clusters on an FCC lattice (see the definition for the
+/// geometry math), with heterogeneous per-dimension scales. Every pair of
+/// cluster centers sits ≥ √2·100 within-cluster sigmas apart, so at bench
+/// sizes the bandwidth is a small fraction of the inter-cluster distance
+/// and most (query, summand) pairs are provably below the pruning gap —
+/// the regime the cell-pruned spatial index targets (DESIGN.md §4j).
+/// Contrast with the adult-like fixture (6 dims, heavy class overlap),
+/// where density mass has no low-dimensional locality and no
+/// bit-identical method can skip much. Deterministic in (n, seed).
+Result<Dataset> MakeClusteredDataset(size_t n, uint64_t seed);
+
 }  // namespace udm
 
 #endif  // UDM_DATASET_SYNTHETIC_H_

@@ -40,7 +40,17 @@ inline size_t QueryChunkSize(size_t per_point_kernel_evals) {
 /// streaming the whole table once per query. Tiling only reorders work
 /// *across* queries — each query still runs the identical per-chunk sweep
 /// sequence — so per-query results are bit-identical to tile size 1.
-inline constexpr size_t kMaxQueryTile = 8;
+///
+/// Each worker holds tile · model_points log terms (the indexed routine
+/// holds model_points), so the tile is also a memory knob. Serving an
+/// N = 4000 error KDE at hardware width, tile 4 peaked 4–6% above the
+/// indexed daemon's RSS where tile 8 peaked 14–17% above it, and it
+/// answered with a lower p50 in 4 of 4 runs; single-thread batches lose
+/// 0–6% at N ≥ 1000 and ~14% on a 140-summand model. Capping the tile
+/// here rather than through kQueryTileDoubleBudget keeps N ≥ 16k models
+/// at tile 4: a budget small enough for tile 4 at N = 4000 leaves them
+/// tile 1, at half the throughput.
+inline constexpr size_t kMaxQueryTile = 4;
 
 /// Cap on a worker's per-tile terms buffer (tile · model_points doubles ≤
 /// 4 MiB), so tiling shrinks rather than blowing scratch on huge models.

@@ -19,10 +19,12 @@ namespace udm {
 /// much work is skipped, never what is returned.
 enum class IndexMode {
   /// Use the index when the fitted model built one (the default). Large
-  /// batches additionally probe their first query and bypass a
-  /// non-pruning index in favor of the dense query-tiled path
-  /// (kde_internal::ResolveBatchIndex, DESIGN.md §4k) — visible only in
-  /// EvalStats' cell counters, never in the values.
+  /// batches additionally probe their first query and bypass an index
+  /// that sweeps more than a quarter of the terms in favor of the dense
+  /// query-tiled path (kde_internal::ResolveBatchIndex, DESIGN.md §4k) —
+  /// visible only in EvalStats' cell counters, the
+  /// kde.index.bypassed_batches counter and the kde.eval_batch span's
+  /// `indexed` attribute, never in the values.
   kAuto,
   /// Require the index; Evaluate fails with FailedPrecondition when the
   /// model has none (too few points, or disabled at fit time). For callers

@@ -42,6 +42,15 @@ inline obs::Counter& CellsPrunedCounter() {
   return counter;
 }
 
+/// kAuto batches that ran the dense tiled path although the model built
+/// an index, because the probe query swept too many terms
+/// (ResolveBatchIndex, spatial_index.h).
+inline obs::Counter& BypassedBatchesCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
+      "kde.index.bypassed_batches");
+  return counter;
+}
+
 /// Attributes an aborted evaluation to the deadline or the budget before
 /// propagating the status unchanged.
 inline Status CountEvalTrip(Status status) {

@@ -144,32 +144,41 @@ inline bool ShouldBuildIndex(const DensityIndexOptions& options,
 /// to amortize and the probe would be a measurable fraction of the batch.
 inline constexpr size_t kIndexBypassMinQueries = 2 * kMaxQueryTile;
 
-/// Minimum fraction of cells the probe query must prune for a kAuto batch
-/// to stay on the index. Break-even sits near the measured tile-reuse
-/// advantage of the dense path (~3x on cache-resident models): an index
-/// skipping less than half its cells cannot make that back, while at 50%+
-/// the indexed path is at worst about even and scales past the dense path
-/// as pruning deepens.
-inline constexpr double kIndexBypassMinCellPruneRate = 0.5;
+/// Largest share of the batch's N·|S| kernel terms the probe query may
+/// sweep for a kAuto batch to stay on the index. The per-query indexed
+/// routine pays a higher price per swept term than the dense tiled routine
+/// (no panel reuse across queries, plus the cell-bound pass), so the index
+/// wins only while it sweeps less than 1/R of the terms, R being that
+/// per-term cost ratio. bench/index_speedup measures it from the index's
+/// speedup s over kOff at swept share e (R = 1/(s·e)): clustered N=1000
+/// sweeps 0.290 at s ≈ 0.78 (R ≈ 4.4), clustered N=4000 sweeps 0.072 at
+/// s ≈ 3.3–3.6 (R ≈ 3.9–4.2), so break-even sits near 1/4. The share of
+/// *cells* pruned is no proxy: the cells that prune are the sparse ones,
+/// and an index that skips three quarters of its cells can still sweep
+/// three quarters of the terms (the serve regime: adult-like, uniform
+/// ψ = 0.25).
+inline constexpr double kIndexMaxSweptTermShare = 0.25;
 
 /// Adaptive kAuto bypass for batch evaluation (DESIGN.md §4k). Query-tile
 /// blocking lets the dense path sweep each cache-resident table panel for
 /// a whole tile of queries, an economy the per-query indexed path cannot
-/// share — so when the data gives the index nothing to prune, kAuto would
-/// silently pay the full tile factor for its bit-identical answer. Large
-/// kAuto batches therefore probe their first query through the index (a
-/// throwaway evaluation against an unbounded context) and drop to the
-/// dense tiled path when fewer than kIndexBypassMinCellPruneRate of the
-/// cells pruned. Both paths return identical bits and identical
-/// pruned-term counts by construction, so the switch is observable only
-/// in EvalStats' cell counters (zero when the batch bypassed) and in how
+/// share — so where the index skips too few terms, kAuto would silently
+/// pay more per term for its bit-identical answer. Large kAuto batches
+/// therefore probe their first query through the index (a throwaway
+/// evaluation against an unbounded context) and drop to the dense tiled
+/// path when it swept more than kIndexMaxSweptTermShare of the terms. Both
+/// paths return identical bits and identical pruned-term counts by
+/// construction, so the switch is observable only in EvalStats' cell
+/// counters (zero when the batch bypassed), the kde.index.bypassed_batches
+/// counter, the `indexed` attribute of the kde.eval_batch span, and in how
 /// fast the answer arrives. kForce never bypasses — it is the caller's
 /// explicit demand for the indexed path.
 ///
-/// `probe(x, dims, counters)` must run one indexed evaluation of query
-/// `x` over `dims`, filling `counters` with its cell accounting. The
-/// decision depends only on the model and the batch's first query, never
-/// on thread count or timing, so results stay deterministic at any width.
+/// `probe(x, dims)` must run one indexed evaluation of query `x` over
+/// `dims` and return the kernel evaluations it spent (swept summands ×
+/// |dims|). The decision depends only on the model and the batch's first
+/// query, never on thread count or timing, so results stay deterministic
+/// at any width.
 template <typename ProbeFn>
 const SpatialIndex* ResolveBatchIndex(const SpatialIndex* index,
                                       const EvalRequest& request,
@@ -185,15 +194,15 @@ const SpatialIndex* ResolveBatchIndex(const SpatialIndex* index,
   for (const size_t dim : dims) {
     if (dim >= num_dims) return index;  // let the batch driver fail loudly
   }
-  IndexedEvalCounters counters;
-  probe(request.points.subspan(0, num_dims), dims, counters);
-  const uint64_t cells_seen = counters.cells_visited + counters.cells_pruned;
-  if (cells_seen == 0) return index;
-  return static_cast<double>(counters.cells_pruned) >=
-                 kIndexBypassMinCellPruneRate *
-                     static_cast<double>(cells_seen)
-             ? index
-             : nullptr;
+  const double all_terms =
+      static_cast<double>(index->num_points() * dims.size());
+  if (all_terms == 0.0) return index;
+  const uint64_t swept = probe(request.points.subspan(0, num_dims), dims);
+  if (static_cast<double>(swept) <= kIndexMaxSweptTermShare * all_terms) {
+    return index;
+  }
+  BypassedBatchesCounter().Increment();
+  return nullptr;
 }
 
 /// Index-accelerated pruned kernel sum over the re-packed summands, in

@@ -21,8 +21,10 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 /// Runs `tile_fn(points, count, dims, ctx, arena, out) -> Status` over
-/// every query of `request`, `query_tile` queries at a time (`points` is
-/// count·model_dims doubles, `out` receives count densities). Tiles never
+/// every query of `request`, `dense_tile` queries at a time, or one at a
+/// time when the batch runs on the per-query `indexed` routine (`points`
+/// is count·model_dims doubles, `out` receives count densities). The
+/// kde.eval_batch span records which routine ran. Tiles never
 /// straddle scheduling chunks: the chunk size is rounded up to a tile
 /// multiple, and both depend only on the model and request, so results
 /// stay bit-identical at every thread width. `model_points` is the
@@ -40,7 +42,8 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 template <typename TileFn>
 Result<EvalResult> BatchEvaluateTiles(const EvalRequest& request,
                                       size_t model_dims, size_t model_points,
-                                      size_t query_tile, TileFn&& tile_fn) {
+                                      bool indexed, size_t dense_tile,
+                                      TileFn&& tile_fn) {
   if (model_dims == 0) {
     return Status::InvalidArgument("BatchEvaluate: model has no dimensions");
   }
@@ -82,7 +85,7 @@ Result<EvalResult> BatchEvaluateTiles(const EvalRequest& request,
   EvalResult out;
   out.densities.assign(num_queries, 0.0);
 
-  const size_t tile = std::max<size_t>(1, query_tile);
+  const size_t tile = indexed ? 1 : std::max<size_t>(1, dense_tile);
   ParallelForOptions options;
   options.threads = request.threads;
   const size_t base_chunk = QueryChunkSize(model_points * dims.size());
@@ -132,6 +135,7 @@ Result<EvalResult> BatchEvaluateTiles(const EvalRequest& request,
   span.AddAttribute("points", static_cast<uint64_t>(num_queries));
   span.AddAttribute("threads",
                     static_cast<uint64_t>(out.stats.threads_used));
+  span.AddAttribute("indexed", static_cast<uint64_t>(indexed ? 1 : 0));
   return out;
 }
 
@@ -204,18 +208,18 @@ Result<EvalResult> SummandDensity::Evaluate(const EvalRequest& request,
   const size_t dense_tile = QueryTileSize(num_points());
   index = ResolveBatchIndex(
       index, request, num_dims(), dense_tile, all_dims_,
-      [&](std::span<const double> x, std::span<const size_t> dims,
-          IndexedEvalCounters& counters) {
+      [&](std::span<const double> x, std::span<const size_t> dims) {
         ExecContext unbounded;
         double ignored = 0.0;
         (void)EvalIndexed(x, dims, log_space, unbounded,
-                          ScratchArena::ThreadLocal(), &ignored, &counters);
+                          ScratchArena::ThreadLocal(), &ignored, nullptr);
+        return unbounded.kernel_evals_spent();
       });
   std::atomic<uint64_t> pruned_total{0};
   std::atomic<uint64_t> cells_visited_total{0};
   std::atomic<uint64_t> cells_pruned_total{0};
   Result<EvalResult> result = BatchEvaluateTiles(
-      request, num_dims(), num_points(), index != nullptr ? 1 : dense_tile,
+      request, num_dims(), num_points(), index != nullptr, dense_tile,
       [&](std::span<const double> points, size_t count,
           std::span<const size_t> dims, ExecContext& ctx,
           ScratchArena& scratch, double* out) -> Status {

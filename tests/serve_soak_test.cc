@@ -748,8 +748,9 @@ std::vector<uint64_t> Bits(std::span<const double> values) {
 // Served eval runs each batch at the daemon's eval width (server.h), and
 // the engine's chunking depends only on the model and the batch, so every
 // served density equals a serial in-process Evaluate bit for bit: for an
-// indexed error_kde entry over 4000 rows (one query per chunk, so a
-// 64-point batch fans out over 64 chunks) and for an mc entry, in linear
+// error_kde entry over 4000 rows (its index would sweep most terms, so
+// kAuto runs the dense path in 4-query tiles, one tile per chunk: a
+// 64-point batch fans out over 16 chunks) and for an mc entry, in linear
 // and log space, with several clients in flight (the tsan preset runs
 // this case). Under an eval budget of a quarter of the batch's cost the
 // answer stops early; which chunks ran before the budget ran out depends
@@ -816,8 +817,8 @@ TEST_F(ServeSoakTest, ServedParallelEvalMatchesSerialEvaluate) {
           registry.Find(model)->Evaluate(request).value();
       ASSERT_EQ(serial.densities.size(), kPoints);
       if (std::string(model) == "ekde") {
-        // The batch stayed on the spatial index: one query per chunk.
-        EXPECT_GT(serial.stats.cells_visited, 0u);
+        // The batch bypassed the spatial index for the dense tiled path.
+        EXPECT_EQ(serial.stats.cells_visited, 0u);
       }
       variants.push_back(
           {model, log_space, serial.densities, serial.stats.kernel_evals});

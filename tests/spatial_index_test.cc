@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "dataset/dataset.h"
+#include "dataset/synthetic.h"
 #include "dataset/uci_like.h"
 #include "error/error_model.h"
 #include "error/perturbation.h"
@@ -20,6 +23,8 @@
 #include "kde/eval.h"
 #include "microcluster/clusterer.h"
 #include "microcluster/mc_density.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace udm {
 namespace {
@@ -305,45 +310,142 @@ TEST(SpatialIndexTest, EvalStatsPartitionTheGrid) {
   }
 }
 
+/// The kde.eval_batch span's `indexed` attribute of the one batch `eval`
+/// runs with tracing on ("" when the span is missing).
+std::string TracedIndexedAttribute(const std::function<void()>& eval) {
+  obs::ResetTraceForTest();
+  obs::EnableTracing();
+  eval();
+  std::string indexed;
+  for (const obs::TraceEvent& event : obs::TraceEvents()) {
+    if (event.name != "kde.eval_batch") continue;
+    for (const auto& [key, value] : event.args) {
+      if (key == "indexed") indexed = value;
+    }
+  }
+  obs::ResetTraceForTest();
+  return indexed;
+}
+
+/// One routing case: `kde` fitted with an index, `queries` a large batch.
+/// Checks the probe query's own kForce accounting against the expected
+/// regime, then that kAuto takes the expected path — in the cell
+/// counters, the bypass counter and the span attribute — while staying
+/// bit-identical to kOff and kForce in both spaces.
+void ExpectAutoRoute(const ErrorKernelDensity& kde,
+                     std::span<const double> queries, size_t dims,
+                     bool expect_indexed) {
+  ASSERT_TRUE(kde.has_index());
+  const double all_terms =
+      static_cast<double>(kde.num_points() * dims);
+  const EvalResult probe =
+      kde.Evaluate(MakeRequest(queries.subspan(0, dims), 1, false,
+                               IndexMode::kForce))
+          .value();
+  const double swept_share =
+      static_cast<double>(probe.stats.kernel_evals) / all_terms;
+  EXPECT_EQ(swept_share <= kde_internal::kIndexMaxSweptTermShare,
+            expect_indexed)
+      << "probe swept " << swept_share << " of the terms";
+  const obs::Counter& bypassed =
+      obs::MetricsRegistry::Global().GetCounter("kde.index.bypassed_batches");
+  for (const bool log_space : {false, true}) {
+    const uint64_t bypassed_before = bypassed.Value();
+    EvalResult routed;
+    const std::string indexed_attr = TracedIndexedAttribute([&] {
+      routed = kde.Evaluate(MakeRequest(queries, 1, log_space,
+                                        IndexMode::kAuto))
+                   .value();
+    });
+    EXPECT_EQ(indexed_attr, expect_indexed ? "1" : "0");
+    EXPECT_EQ(bypassed.Value() - bypassed_before, expect_indexed ? 0u : 1u);
+    if (expect_indexed) {
+      EXPECT_GT(routed.stats.cells_visited, 0u);
+      EXPECT_GT(routed.stats.cells_pruned, 0u);
+    } else {
+      EXPECT_EQ(routed.stats.cells_visited, 0u);
+      EXPECT_EQ(routed.stats.cells_pruned, 0u);
+    }
+    for (const IndexMode mode : {IndexMode::kOff, IndexMode::kForce}) {
+      for (const size_t threads : kWidths) {
+        const EvalResult other =
+            kde.Evaluate(MakeRequest(queries, threads, log_space, mode))
+                .value();
+        EXPECT_EQ(routed.densities, other.densities)
+            << (log_space ? "log" : "linear") << ", " << threads
+            << " threads";
+        EXPECT_EQ(routed.stats.pruned_terms, other.stats.pruned_terms)
+            << (log_space ? "log" : "linear") << ", " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
 TEST(SpatialIndexTest, AutoBypassesAnIndexThatCannotPrune) {
   // The adaptive kAuto bypass (ResolveBatchIndex): on a heavy-error
   // fixture where the gap test keeps nearly every term, a large kAuto
-  // batch probes its first query, sees almost no cells prune, and runs
-  // the batch through the dense tiled path — visible only as zeroed cell
-  // counters, with values and pruned-term counts still bit-identical to
-  // both kOff and kForce. Small batches (below the probe threshold) keep
-  // the index, since they have no query tiling to forgo.
+  // batch probes its first query, sees it sweep almost every term, and
+  // runs the batch through the dense tiled path. Small batches (below the
+  // probe threshold) keep the index, since they have no query tiling to
+  // forgo.
   const Fixture& f = SharedFixture();
   const ErrorKernelDensity kde =
       ErrorKernelDensity::Fit(f.uncertain.data, f.uncertain.errors).value();
-  ASSERT_TRUE(kde.has_index());
-  const size_t queries = 32;
   const std::span<const double> points =
-      f.uncertain.data.values().subspan(0, queries * f.clean.NumDims());
+      f.uncertain.data.values().subspan(0, 32 * f.clean.NumDims());
+  ExpectAutoRoute(kde, points, f.clean.NumDims(), /*expect_indexed=*/false);
+  const size_t small = kde_internal::kIndexBypassMinQueries - 1;
   for (const bool log_space : {false, true}) {
-    const EvalResult bypassed =
-        kde.Evaluate(MakeRequest(points, 1, log_space, IndexMode::kAuto))
-            .value();
-    EXPECT_EQ(bypassed.stats.cells_visited, 0u);
-    EXPECT_EQ(bypassed.stats.cells_pruned, 0u);
-    const EvalResult off =
-        kde.Evaluate(MakeRequest(points, 1, log_space, IndexMode::kOff))
-            .value();
-    const EvalResult forced =
-        kde.Evaluate(MakeRequest(points, 1, log_space, IndexMode::kForce))
-            .value();
-    EXPECT_EQ(bypassed.densities, off.densities);
-    EXPECT_EQ(bypassed.densities, forced.densities);
-    EXPECT_EQ(bypassed.stats.pruned_terms, off.stats.pruned_terms);
-    EXPECT_EQ(bypassed.stats.pruned_terms, forced.stats.pruned_terms);
-    // Below the probe threshold the batch stays on the index.
-    const size_t small = kde_internal::kIndexBypassMinQueries - 1;
     const EvalResult kept =
         kde.Evaluate(MakeRequest(
                          points.subspan(0, small * f.clean.NumDims()), 1,
                          log_space, IndexMode::kAuto))
             .value();
     EXPECT_GT(kept.stats.cells_visited, 0u);
+  }
+}
+
+TEST(SpatialIndexTest, AutoRoutesOnSweptTermsNotPrunedCells) {
+  // udm_serve's error-KDE regime: adult-like rows at f = 1.0 with one
+  // ψ = 0.25 for every entry. Most cells prune, but they are the sparse
+  // ones, so the index still sweeps most of the terms and costs more than
+  // the dense tiled path: kAuto must bypass it.
+  {
+    const Dataset clean = MakeAdultLike(4000, 1).value();
+    const UncertainDataset noisy = Perturb(clean, Fixture::Noise()).value();
+    const ErrorKernelDensity kde =
+        ErrorKernelDensity::Fit(
+            noisy.data,
+            ErrorModel::PerDimension(
+                4000, std::vector<double>(clean.NumDims(), 0.25))
+                .value())
+            .value();
+    const std::span<const double> queries =
+        noisy.data.values().subspan(0, 32 * clean.NumDims());
+    const EvalResult probe =
+        kde.Evaluate(MakeRequest(queries.subspan(0, clean.NumDims()), 1,
+                                 false, IndexMode::kForce))
+            .value();
+    EXPECT_GE(2 * probe.stats.cells_pruned, kde.index_cells())
+        << "fixture drifted: under half the cells prune";
+    ExpectAutoRoute(kde, queries, clean.NumDims(), /*expect_indexed=*/false);
+  }
+  // The clustered index fixture at N = 4000: the index sweeps a small
+  // share of the terms and must stay on.
+  {
+    PerturbationOptions near_clean;
+    near_clean.f = 0.01;
+    const UncertainDataset noisy =
+        Perturb(MakeClusteredDataset(4000, 1).value(), near_clean).value();
+    DensityEvalOptions options;
+    options.bandwidth_scale = 0.7;
+    const ErrorKernelDensity kde =
+        ErrorKernelDensity::Fit(noisy.data, noisy.errors, options).value();
+    const std::span<const double> queries =
+        noisy.data.values().subspan(0, 32 * noisy.data.NumDims());
+    ExpectAutoRoute(kde, queries, noisy.data.NumDims(),
+                    /*expect_indexed=*/true);
   }
 }
 
