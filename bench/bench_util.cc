@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 
@@ -24,93 +23,63 @@ namespace udm::bench {
 namespace {
 
 std::unique_ptr<obs::RunReport> g_report;
-BenchContext g_context;
+FlagValues g_flags;
 std::string g_figure_id;
 
 void WriteArtifactsAtExit() {
-  if (!g_context.trace_out.empty()) {
+  const std::string& trace_out = g_flags.Text("trace-out");
+  if (!trace_out.empty()) {
     obs::DisableTracing();
-    const Status status = obs::WriteTrace(g_context.trace_out);
+    const Status status = obs::WriteTrace(trace_out);
     if (!status.ok()) {
       std::fprintf(stderr, "bench: %s\n", status.ToString().c_str());
     } else {
-      std::printf("trace written to %s (%zu spans)\n",
-                  g_context.trace_out.c_str(), obs::TraceEventCount());
+      std::printf("trace written to %s (%zu spans)\n", trace_out.c_str(),
+                  obs::TraceEventCount());
     }
   }
-  if (!g_context.metrics_out.empty() && g_report != nullptr) {
-    const Status status = g_report->Write(g_context.metrics_out);
+  const std::string& metrics_out = g_flags.Text("metrics-out");
+  if (!metrics_out.empty() && g_report != nullptr) {
+    const Status status = g_report->Write(metrics_out);
     if (!status.ok()) {
       std::fprintf(stderr, "bench: %s\n", status.ToString().c_str());
     } else {
-      std::printf("run report written to %s\n", g_context.metrics_out.c_str());
+      std::printf("run report written to %s\n", metrics_out.c_str());
     }
   }
 }
 
-/// --name=value or --name value; returns true and fills `value` on match.
-bool ParseFlag(int argc, char** argv, int* i, const char* name,
-               std::string* value) {
-  const char* arg = argv[*i];
-  const size_t name_len = std::strlen(name);
-  if (std::strncmp(arg, name, name_len) != 0) return false;
-  if (arg[name_len] == '=') {
-    *value = arg + name_len + 1;
-    return true;
-  }
-  if (arg[name_len] == '\0' && *i + 1 < argc) {
-    *value = argv[++*i];
-    return true;
-  }
-  return false;
-}
+constexpr FlagSpec kCommonFlags[] = {
+    {"metrics-out", FlagKind::kText, nullptr,
+     "write a RunReport JSON (schema v1) at exit"},
+    {"trace-out", FlagKind::kText, nullptr,
+     "write Chrome trace_event JSON at exit"},
+};
 
 }  // namespace
 
-const BenchContext& ParseCommonFlags(int argc, char** argv,
-                                     const std::string& name) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argc, argv, &i, "--metrics-out", &value)) {
-      g_context.metrics_out = value;
-    } else if (ParseFlag(argc, argv, &i, "--trace-out", &value)) {
-      g_context.trace_out = value;
-    } else if (ParseFlag(argc, argv, &i, "--threads", &value)) {
-      const long threads = std::atol(value.c_str());
-      g_context.threads = threads > 0 ? static_cast<size_t>(threads) : 0;
-    } else if (ParseFlag(argc, argv, &i, "--deadline-ms", &value)) {
-      const double ms = std::atof(value.c_str());
-      g_context.deadline_ms = ms > 0 ? ms : 0.0;
-    } else if (ParseFlag(argc, argv, &i, "--eval-budget", &value)) {
-      const long long budget = std::atoll(value.c_str());
-      g_context.eval_budget =
-          budget > 0 ? static_cast<uint64_t>(budget) : 0;
-    }
-  }
+const FlagValues& ParseCommonFlags(int argc, char** argv,
+                                   const std::string& name,
+                                   std::initializer_list<FlagSpec> extra) {
+  std::vector<FlagSpec> specs(std::begin(kCommonFlags),
+                              std::end(kCommonFlags));
+  specs.insert(specs.end(), extra.begin(), extra.end());
+  g_flags = ParseFlagsOrExit(name, specs, argc, argv);
   // The report exists whenever any artifact was requested so tables and
   // checks recorded along the way have somewhere to go.
-  if (!g_context.metrics_out.empty() || !g_context.trace_out.empty()) {
+  if (g_flags.Has("metrics-out") || g_flags.Has("trace-out")) {
     g_report = std::make_unique<obs::RunReport>(name);
     const char* env_n = std::getenv("UDM_BENCH_N");
     if (env_n != nullptr) g_report->SetConfig("UDM_BENCH_N", env_n);
-    g_report->SetConfig("threads", static_cast<double>(g_context.threads));
+    g_report->SetConfig(g_flags);
     g_report->SetConfig("hardware_threads",
                         static_cast<double>(ThreadPool::HardwareThreads()));
     g_report->SetConfig("simd", SimdLevelName(ProcessSimdLevel()));
-    if (g_context.deadline_ms > 0) {
-      g_report->SetConfig("deadline_ms", g_context.deadline_ms);
-    }
-    if (g_context.eval_budget > 0) {
-      g_report->SetConfig("eval_budget",
-                          static_cast<double>(g_context.eval_budget));
-    }
   }
-  if (!g_context.trace_out.empty()) obs::EnableTracing();
+  if (g_flags.Has("trace-out")) obs::EnableTracing();
   std::atexit(WriteArtifactsAtExit);
-  return g_context;
+  return g_flags;
 }
-
-const BenchContext& GetBenchContext() { return g_context; }
 
 void BenchConfig(const std::string& key, const std::string& value) {
   if (g_report != nullptr) g_report->SetConfig(key, value);
@@ -261,7 +230,7 @@ void AppendRun(const Dataset& clean, double f, size_t q, size_t max_test,
   config.max_test_examples = max_test;
   config.seed = seed;
   config.repeats = repeats;
-  config.threads = GetBenchContext().threads;
+  config.threads = g_flags.Size("threads");
   const Result<ClassificationExperimentResult> result =
       RunClassificationExperiment(clean, config);
   UDM_CHECK(result.ok()) << result.status().ToString();

@@ -2,9 +2,11 @@
 #define UDM_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/result.h"
 #include "dataset/dataset.h"
 
@@ -16,36 +18,24 @@ struct Series {
   std::vector<double> y;
 };
 
-/// Settings shared by every bench main, parsed once by ParseCommonFlags
-/// so no harness re-implements flag handling.
-struct BenchContext {
-  /// --metrics-out=PATH: write a RunReport JSON (schema v1) at exit.
-  std::string metrics_out;
-  /// --trace-out=PATH: collect trace spans, write Chrome trace JSON.
-  std::string trace_out;
-  /// --threads=N: worker width for the library's threaded paths
-  /// (0 = serial, the default). Sweeps route this into every
-  /// RunClassificationExperiment; results are bit-identical at any width.
-  size_t threads = 0;
-  /// --deadline-ms=D: wall-clock bound for benches that honor one
-  /// (0 = unlimited).
-  double deadline_ms = 0.0;
-  /// --eval-budget=N: kernel-evaluation budget for benches that honor
-  /// one (0 = unlimited).
-  uint64_t eval_budget = 0;
-};
+/// --threads: worker width of the library's threaded paths (0 = serial,
+/// the default; results are bit-identical at any width). Only the
+/// harnesses that read it declare it, the callers of the sweeps below
+/// among them.
+inline constexpr FlagSpec kThreadsFlag = {
+    "threads", FlagKind::kCount, "0",
+    "worker width (0 = serial; results bit-identical at any width)"};
 
-/// Parses the shared bench flags into the process-wide BenchContext and
-/// installs an atexit hook that writes the run artifacts (see the flag
-/// docs on BenchContext). Unknown arguments are ignored so
-/// figure-specific flags can coexist. Without flags the harness behaves
-/// exactly as before (no report, no tracing, serial execution). Call
-/// first in main(); returns the parsed context.
-const BenchContext& ParseCommonFlags(int argc, char** argv,
-                                     const std::string& name);
-
-/// The context last parsed by ParseCommonFlags (defaults before then).
-const BenchContext& GetBenchContext();
+/// Parses the command line against the flags every bench main accepts
+/// (--metrics-out: write a RunReport JSON, schema v1, at exit;
+/// --trace-out: collect trace spans and write Chrome trace JSON) plus the
+/// harness's own `extra` flags, and installs an atexit hook that writes
+/// the run artifacts. A usage error exits 2; --help prints the flags.
+/// Without flags the harness runs as it always has (no report, no
+/// tracing, serial execution). Call first in main(); returns the values.
+const FlagValues& ParseCommonFlags(int argc, char** argv,
+                                   const std::string& name,
+                                   std::initializer_list<FlagSpec> extra = {});
 
 /// Records a configuration key in the run report (no-op before
 /// ParseCommonFlags or when no artifact flag was given).

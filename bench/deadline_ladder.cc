@@ -21,8 +21,10 @@
 #include "error/perturbation.h"
 
 int main(int argc, char** argv) {
-  const udm::bench::BenchContext& bench =
-      udm::bench::ParseCommonFlags(argc, argv, "deadline_ladder");
+  const udm::FlagValues& flags = udm::bench::ParseCommonFlags(
+      argc, argv, "deadline_ladder",
+      {{"deadline-ms", udm::FlagKind::kReal, "0",
+        "narrow the sweep to {unlimited, this deadline} (0 = full sweep)"}});
   const udm::Result<udm::Dataset> clean =
       udm::bench::LoadDataset("adult", 6000, 1);
   UDM_CHECK(clean.ok()) << clean.status().ToString();
@@ -56,7 +58,8 @@ int main(int argc, char** argv) {
   // --deadline-ms narrows the sweep to {unlimited, the given deadline}.
   std::vector<double> deadlines_ms{0,    50,   5,     1,     0.5,
                                    0.1,  0.05, 0.01,  0.001, 0.0001};
-  if (bench.deadline_ms > 0) deadlines_ms = {0, bench.deadline_ms};
+  const double narrowed = flags.Real("deadline-ms");
+  if (narrowed > 0) deadlines_ms = {0, narrowed};
 
   udm::bench::Series accuracy{"accuracy", {}};
   udm::bench::Series mean_latency{"mean latency (ms)", {}};

@@ -11,7 +11,8 @@
 #include "common/logging.h"
 
 int main(int argc, char** argv) {
-  udm::bench::ParseCommonFlags(argc, argv, "fig04_accuracy_vs_error_adult");
+  udm::bench::ParseCommonFlags(argc, argv, "fig04_accuracy_vs_error_adult",
+                               {udm::bench::kThreadsFlag});
   using udm::bench::ComparatorSeries;
   const udm::Result<udm::Dataset> clean =
       udm::bench::LoadDataset("adult", 6000, 1);

@@ -11,7 +11,8 @@
 #include "common/math_util.h"
 
 int main(int argc, char** argv) {
-  udm::bench::ParseCommonFlags(argc, argv, "fig05_accuracy_vs_mc_adult");
+  udm::bench::ParseCommonFlags(argc, argv, "fig05_accuracy_vs_mc_adult",
+                               {udm::bench::kThreadsFlag});
   const udm::Result<udm::Dataset> clean =
       udm::bench::LoadDataset("adult", 6000, 1);
   UDM_CHECK(clean.ok()) << clean.status().ToString();

@@ -12,7 +12,8 @@
 #include "common/logging.h"
 
 int main(int argc, char** argv) {
-  udm::bench::ParseCommonFlags(argc, argv, "fig06_accuracy_vs_error_forest");
+  udm::bench::ParseCommonFlags(argc, argv, "fig06_accuracy_vs_error_forest",
+                               {udm::bench::kThreadsFlag});
   const udm::Result<udm::Dataset> clean =
       udm::bench::LoadDataset("forest_cover", 12000, 4);
   UDM_CHECK(clean.ok()) << clean.status().ToString();

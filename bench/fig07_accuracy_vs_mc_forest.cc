@@ -7,7 +7,8 @@
 #include "common/logging.h"
 
 int main(int argc, char** argv) {
-  udm::bench::ParseCommonFlags(argc, argv, "fig07_accuracy_vs_mc_forest");
+  udm::bench::ParseCommonFlags(argc, argv, "fig07_accuracy_vs_mc_forest",
+                               {udm::bench::kThreadsFlag});
   const udm::Result<udm::Dataset> clean =
       udm::bench::LoadDataset("forest_cover", 12000, 4);
   UDM_CHECK(clean.ok()) << clean.status().ToString();

@@ -11,7 +11,8 @@
 #include "common/logging.h"
 
 int main(int argc, char** argv) {
-  udm::bench::ParseCommonFlags(argc, argv, "fig09_testing_time_vs_mc");
+  udm::bench::ParseCommonFlags(argc, argv, "fig09_testing_time_vs_mc",
+                               {udm::bench::kThreadsFlag});
   const std::vector<double> qs{20, 40, 60, 80, 100, 120, 140};
   const std::vector<std::pair<std::string, size_t>> datasets{
       {"forest_cover", 12000},

@@ -12,8 +12,8 @@
 #include "common/logging.h"
 
 int main(int argc, char** argv) {
-  const udm::bench::BenchContext& bench =
-      udm::bench::ParseCommonFlags(argc, argv, "fig10_testing_time_vs_dim");
+  const udm::FlagValues& flags = udm::bench::ParseCommonFlags(
+      argc, argv, "fig10_testing_time_vs_dim", {udm::bench::kThreadsFlag});
   const udm::Result<udm::Dataset> full =
       udm::bench::LoadDataset("ionosphere", 1200, 2);
   UDM_CHECK(full.ok()) << full.status().ToString();
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       config.num_clusters = q;
       config.max_test_examples = 60;
       config.seed = 42;
-      config.threads = bench.threads;
+      config.threads = flags.Size("threads");
       const auto result =
           udm::RunClassificationExperiment(*projected, config);
       UDM_CHECK(result.ok()) << result.status().ToString();

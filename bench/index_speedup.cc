@@ -40,7 +40,7 @@
 // process exit nonzero, so the ctest wiring catches a broken or
 // pessimizing index, not just a slow one.
 //
-// --json-out=PATH writes a google-benchmark-shaped {"benchmarks": [...]}
+// --json-out PATH writes a google-benchmark-shaped {"benchmarks": [...]}
 // file (names `index_eval/<N>/<mode>`, clustered workload, linear space)
 // for tools/check_bench_regression against the committed
 // BENCH_index.json. --smoke shrinks the sweep for CI (clustered and adult
@@ -181,14 +181,14 @@ double Percent(uint64_t part, uint64_t whole) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  udm::bench::ParseCommonFlags(argc, argv, "index_speedup");
-  bool smoke = false;
-  std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json-out=", 0) == 0) json_out = arg.substr(11);
-  }
+  const udm::FlagValues& flags = udm::bench::ParseCommonFlags(
+      argc, argv, "index_speedup",
+      {{"smoke", udm::FlagKind::kSwitch, nullptr,
+        "N = 1000 only, 3 reps (the tier-1 gate)"},
+       {"json-out", udm::FlagKind::kText, nullptr,
+        "write google-benchmark JSON rows for check_bench_regression"}});
+  const bool smoke = flags.Has("smoke");
+  const std::string& json_out = flags.Text("json-out");
 
   const std::vector<size_t> sweep =
       smoke ? std::vector<size_t>{1000}

@@ -46,14 +46,14 @@ double TimeBatch(const Model& model, const udm::EvalRequest& request,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const udm::bench::BenchContext& bench =
-      udm::bench::ParseCommonFlags(argc, argv, "parallel_speedup");
+  const udm::FlagValues& flags = udm::bench::ParseCommonFlags(
+      argc, argv, "parallel_speedup", {udm::bench::kThreadsFlag});
   const size_t hw = udm::ThreadPool::HardwareThreads();
   // Width under test: --threads wins; otherwise the hardware width, but
   // at least 2 so a single-core host still exercises the concurrent
   // path (as oversubscription) and its bit-identity guarantee.
-  const size_t wide = bench.threads > 0 ? bench.threads
-                                        : std::max<size_t>(hw, 2);
+  const size_t threads = flags.Size("threads");
+  const size_t wide = threads > 0 ? threads : std::max<size_t>(hw, 2);
   const size_t repeats = 3;
 
   const size_t n = udm::bench::RowsFromEnv(3000);

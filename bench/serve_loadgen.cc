@@ -14,25 +14,9 @@
 // a deliberately small --max-queue so the run crosses saturation: the
 // check is that p99 stays bounded by the deadline while the overflow shows
 // up as explicit `overloaded` shedding — never as unbounded latency.
-//
-// Flags:
-//   --server-bin PATH   spawn this udm_serve binary (scratch workdir)
-//   --server-report P   --metrics-out path passed to the spawned daemon
-//   --socket PATH       drive an already-running daemon instead
-//   --clients N         concurrent closed-loop clients (default 4)
-//   --requests N        requests per client per level (default 50)
-//   --points K          query points per request (default 4)
-//   --deadline-ms D     per-request deadline (default 150)
-//   --mode M            eval | classify | mixed (default mixed)
-//   --sweep "1,2,.."    client counts per level (overrides --clients)
-//   --workers N         spawned daemon worker threads (default 1)
-//   --max-queue N       spawned daemon queue bound (default 8; with
-//                       --sweep, top level - workers - 1, at least 1)
-//   --smoke             tiny fixed workload for the tier-1 ctest fixture
-//   --scrape-interval-ms N  poll the stats op on a side connection every
-//                       N ms for the whole run and assert the admin path
-//                       stays responsive while the workers saturate
-//   --metrics-out PATH  write the loadgen's own RunReport JSON
+// --scrape-interval-ms polls the stats op on a side connection for the
+// whole run and asserts the admin path stays responsive while the workers
+// saturate. `serve_loadgen --help` lists every flag with its default.
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -44,13 +28,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/status.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -69,45 +53,28 @@ using udm::serve::ServeRequest;
 using udm::serve::ServeResponse;
 using udm::serve::ServeStatus;
 
-using Flags = std::map<std::string, std::string>;
+using enum udm::FlagKind;
+using udm::FlagValues;
 
-Result<Flags> ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      return Status::InvalidArgument("expected --flag, got '" + key + "'");
-    }
-    const std::string name = key.substr(2);
-    if (name == "smoke") {  // the only boolean flag
-      flags[name] = "1";
-      continue;
-    }
-    if (i + 1 >= argc) {
-      return Status::InvalidArgument("flag '" + key + "' needs a value");
-    }
-    flags[name] = argv[++i];
-  }
-  return flags;
-}
-
-std::string GetFlag(const Flags& flags, const std::string& key,
-                    const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-double GetDouble(const Flags& flags, const std::string& key, double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::atof(it->second.c_str());
-}
-
-size_t GetSize(const Flags& flags, const std::string& key, size_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end()
-             ? fallback
-             : static_cast<size_t>(std::atoll(it->second.c_str()));
-}
+constexpr udm::FlagSpec kFlagSpecs[] = {
+    {"server-bin", kText, nullptr, "spawn this udm_serve binary"},
+    {"server-report", kText, nullptr, "the spawned daemon's --metrics-out"},
+    {"socket", kText, nullptr, "drive an already-running daemon instead"},
+    {"clients", kCount, "4", "concurrent closed-loop clients"},
+    {"requests", kCount, nullptr, "per client and level (50; 12 if --smoke)"},
+    {"points", kCount, "4", "query points per request"},
+    {"deadline-ms", kReal, "150", "per-request deadline"},
+    {"mode", kText, "mixed", "eval | classify | mixed"},
+    {"sweep", kText, nullptr, "client counts, e.g. 1,2,4,8 (not --clients)"},
+    {"workers", kCount, "1", "spawned daemon worker threads"},
+    {"max-queue", kCount, nullptr,
+     "spawned daemon queue bound (default 8; with --sweep, top level - "
+     "workers - 1, at least 1)"},
+    {"smoke", kSwitch, nullptr, "tiny fixed workload (the tier-1 fixture)"},
+    {"scrape-interval-ms", kReal, nullptr,
+     "poll stats every N ms during the run (default off; 25 with --smoke)"},
+    {"metrics-out", kText, nullptr, "write the loadgen's own RunReport JSON"},
+};
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -537,21 +504,30 @@ std::vector<size_t> ParseSweep(const std::string& spec) {
 // main
 // ---------------------------------------------------------------------------
 
-int Run(const Flags& flags) {
-  const bool smoke = flags.count("smoke") != 0;
+int Run(const FlagValues& flags) {
+  const bool smoke = flags.Has("smoke");
   LoadConfig config;
-  config.requests_per_client = GetSize(flags, "requests", smoke ? 12 : 50);
-  config.points = GetSize(flags, "points", 4);
-  config.deadline_ms = GetDouble(flags, "deadline-ms", 150.0);
-  config.mode = GetFlag(flags, "mode", "mixed");
+  config.requests_per_client =
+      flags.Has("requests") ? flags.Size("requests") : smoke ? 12 : 50;
+  config.points = flags.Size("points");
+  config.deadline_ms = flags.Real("deadline-ms");
+  config.mode = flags.Text("mode");
+  if (config.mode != "eval" && config.mode != "classify" &&
+      config.mode != "mixed") {
+    std::fprintf(stderr,
+                 "serve_loadgen: --mode must be eval, classify or mixed, "
+                 "got '%s'\n",
+                 config.mode.c_str());
+    return 2;
+  }
 
   std::vector<size_t> levels;
-  if (flags.count("sweep") != 0) {
-    levels = ParseSweep(flags.at("sweep"));
+  if (flags.Has("sweep")) {
+    levels = ParseSweep(flags.Text("sweep"));
   } else if (smoke) {
     levels = {2};
   } else {
-    levels = {GetSize(flags, "clients", 4)};
+    levels = {flags.Size("clients")};
   }
   if (levels.empty()) {
     std::fprintf(stderr, "serve_loadgen: empty --sweep\n");
@@ -565,19 +541,20 @@ int Run(const Flags& flags) {
   // between an answer and their next request — shedding_observed then
   // checks the daemon, not a race between a client's resend and a
   // worker's in-flight decrement.
-  const size_t workers = GetSize(flags, "workers", 1);
+  const size_t workers = flags.Size("workers");
   const size_t top_level = *std::max_element(levels.begin(), levels.end());
   size_t default_max_queue = 8;
   if (levels.size() > 1) {
     default_max_queue = top_level > workers + 1 ? top_level - workers - 1 : 1;
   }
-  const std::string server_bin = GetFlag(flags, "server-bin", "");
-  std::string socket_path = GetFlag(flags, "socket", "");
+  const std::string& server_bin = flags.Text("server-bin");
+  std::string socket_path = flags.Text("socket");
   SpawnedServer server;
   if (!server_bin.empty()) {
     const Status started = server.Start(
-        server_bin, workers, GetSize(flags, "max-queue", default_max_queue),
-        config.deadline_ms, GetFlag(flags, "server-report", ""));
+        server_bin, workers,
+        flags.Has("max-queue") ? flags.Size("max-queue") : default_max_queue,
+        config.deadline_ms, flags.Text("server-report"));
     if (!started.ok()) {
       std::fprintf(stderr, "serve_loadgen: %s\n", started.ToString().c_str());
       return 1;
@@ -591,21 +568,20 @@ int Run(const Flags& flags) {
 
   // Admin-path scraper: --scrape-interval-ms (smoke defaults it on so the
   // tier-1 fixture always exercises the inline admin path under load).
-  const double scrape_interval_ms =
-      GetDouble(flags, "scrape-interval-ms", smoke ? 25.0 : 0.0);
+  const double scrape_interval_ms = flags.Has("scrape-interval-ms")
+                                        ? flags.Real("scrape-interval-ms")
+                                    : smoke ? 25.0
+                                            : 0.0;
   StatsScraper scraper;
   if (scrape_interval_ms > 0.0) {
     scraper.Start(socket_path, scrape_interval_ms);
   }
 
   udm::obs::RunReport report("serve_loadgen");
-  report.SetConfig("mode", config.mode);
+  report.SetConfig(flags);
   report.SetConfig("scrape_interval_ms", scrape_interval_ms);
   report.SetConfig("requests_per_client",
                    static_cast<uint64_t>(config.requests_per_client));
-  report.SetConfig("points", static_cast<uint64_t>(config.points));
-  report.SetConfig("deadline_ms", config.deadline_ms);
-  report.SetConfig("smoke", smoke ? "true" : "false");
 
   static udm::obs::Counter& served_counter =
       udm::obs::MetricsRegistry::Global().GetCounter("loadgen.served_total");
@@ -732,7 +708,7 @@ int Run(const Flags& flags) {
           "udm_serve exit code " + std::to_string(exit_code));
   }
 
-  const std::string metrics_out = GetFlag(flags, "metrics-out", "");
+  const std::string& metrics_out = flags.Text("metrics-out");
   if (!metrics_out.empty()) {
     const Status written = report.Write(metrics_out);
     if (!written.ok()) {
@@ -748,11 +724,5 @@ int Run(const Flags& flags) {
 
 int main(int argc, char** argv) {
   signal(SIGPIPE, SIG_IGN);  // a draining server closing mid-write is data
-  Result<Flags> flags = ParseFlags(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "serve_loadgen: %s\n",
-                 flags.status().ToString().c_str());
-    return 2;
-  }
-  return Run(*flags);
+  return Run(udm::ParseFlagsOrExit("serve_loadgen", kFlagSpecs, argc, argv));
 }

@@ -67,6 +67,22 @@ void RunReport::SetConfig(std::string_view key, int value) {
   SetConfig(key, static_cast<double>(value));
 }
 
+void RunReport::SetConfig(const FlagValues& flags) {
+  for (const FlagSpec& spec : flags.specs()) {
+    if (spec.kind == FlagKind::kSwitch) {
+      SetConfig(spec.name, flags.Has(spec.name) ? "true" : "false");
+    } else if (spec.default_text == nullptr && !flags.Has(spec.name)) {
+      continue;
+    } else if (spec.kind == FlagKind::kText) {
+      SetConfig(spec.name, std::string_view(flags.Text(spec.name)));
+    } else {
+      SetConfig(spec.name, spec.kind == FlagKind::kCount
+                               ? static_cast<double>(flags.Size(spec.name))
+                               : flags.Real(spec.name));
+    }
+  }
+}
+
 void RunReport::AddCheck(std::string_view name, bool passed,
                          std::string_view detail) {
   ReportCheck check;

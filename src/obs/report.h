@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/result.h"
 #include "obs/json.h"
 
@@ -46,6 +47,10 @@ class RunReport {
   void SetConfig(std::string_view key, double value);
   void SetConfig(std::string_view key, uint64_t value);
   void SetConfig(std::string_view key, int value);
+  /// Records every declared flag's effective value under its name: the
+  /// given value or the default (switches as "true"/"false"; a flag absent
+  /// with no default is left out). A parsed required flag is always given.
+  void SetConfig(const FlagValues& flags);
 
   void AddCheck(std::string_view name, bool passed,
                 std::string_view detail = "");

@@ -1,49 +1,35 @@
-// udm_cli — command-line front end for the core workflows.
+// udm_cli — command-line front end for the core workflows:
 //
-//   udm_cli generate   --dataset adult --n 5000 --seed 1 --out data.csv
-//   udm_cli perturb    --in data.csv --f 1.5 --seed 7 --out noisy.csv
-//                      --errors-out psi.csv
-//   udm_cli summarize  --in noisy.csv [--errors psi.csv] --clusters 140
-//                      --out summary.txt
-//   udm_cli density    --summary summary.txt --point 1.0,2.0,...
-//   udm_cli experiment --dataset adult --n 6000 --f 1.2 --clusters 140
-//                      [--threshold 0.75] [--repeats 3] [--test 400]
-//                      [--threads 4]
-//   udm_cli stream     --in noisy.csv [--errors psi.csv] --clusters 140
-//                      --policy strict|repair|quarantine
-//                      [--checkpoint-dir ckpt --checkpoint-every 1000]
-//                      [--resume 1] [--fault-rate 0.05 --fault-seed 7]
-//                      [--retry 3] [--batch 500 --deadline-ms 10]
-//                      [--shards 4 --threads 0 --merged-clusters 0]
-//                      [--out summary.txt]
-//   udm_cli recover    --checkpoint-dir ckpt [--retry 3] [--out summary.txt]
-//   udm_cli merge      --checkpoint-dir ckpt [--shards 0] [--clusters q]
-//                      [--retry 3] --out merged.txt
-//                      (q defaults to the shards' own budget)
-//   udm_cli classify   --dataset adult --n 2000 [--f 1.0] [--test 200]
-//                      [--clusters 60] [--deadline-ms 5] [--eval-budget 0]
-//                      [--total-ms 0]
-//   udm_cli stats      --in report.json
-//   udm_cli top        --socket /tmp/udm.sock [--interval-ms 1000]
-//                      [--iterations 0] [--window-s 60]
+//   udm_cli <generate|perturb|summarize|density|experiment|stream|recover|
+//            merge|classify|stats|top> [--flag value ...]
+//
+// Each command declares its flags in a table below; `udm_cli <command>
+// --help` prints it with every default. A pipeline: generate a UCI-like
+// dataset, perturb it with the paper's error model (writing ψ beside it),
+// summarize it into micro-clusters, and evaluate the summary's density.
+// `stream` ingests the same data record by record under a fault policy,
+// with checkpoints (`recover` restores the newest good one) or across
+// hash-partitioned shards (`merge` folds their checkpoints into one
+// summary). `experiment` runs the paper's classification protocol;
+// `classify` the roll-up classifier under per-query deadlines and budgets.
+// `stats` renders a RunReport, and `top` polls a live udm_serve.
 //
 // Every command also accepts the observability flags (DESIGN.md §4d):
-//   --metrics-out FILE   write a RunReport JSON (metrics, config, checks)
-//   --trace-out FILE     write Chrome trace_event JSON (Perfetto-loadable)
+// --metrics-out writes a RunReport JSON (every flag's effective value,
+// metrics, checks), --trace-out a Chrome trace_event JSON.
 //
-// Flags are --key value pairs. Exit codes: 0 success; 2 usage error (bad
-// command line or invalid input); 3 a deadline expired after partial
-// results were produced (the partials are printed first); 1 any other
-// runtime failure.
+// Exit codes: 0 success; 2 usage error (bad command line or invalid
+// input); 3 a deadline expired after partial results were produced (the
+// partials are printed first); 1 any other runtime failure.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,6 +39,7 @@
 #include "classify/experiment.h"
 #include "common/deadline.h"
 #include "common/exec_context.h"
+#include "common/flags.h"
 #include "common/status.h"
 #include "dataset/csv.h"
 #include "dataset/uci_like.h"
@@ -73,38 +60,10 @@
 
 namespace {
 
-using Flags = std::map<std::string, std::string>;
-
-udm::Result<Flags> ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      return udm::Status::InvalidArgument("expected --flag, got '" + key +
-                                          "'");
-    }
-    if (i + 1 >= argc) {
-      return udm::Status::InvalidArgument("flag '" + key + "' needs a value");
-    }
-    flags[key.substr(2)] = argv[++i];
-  }
-  return flags;
-}
-
-std::string GetFlag(const Flags& flags, const std::string& key,
-                    const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-udm::Result<std::string> RequireFlag(const Flags& flags,
-                                     const std::string& key) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) {
-    return udm::Status::InvalidArgument("missing required flag --" + key);
-  }
-  return it->second;
-}
+using enum udm::FlagKind;
+using udm::FlagSpec;
+using udm::FlagValues;
+using udm::kRequired;
 
 udm::Result<std::vector<double>> ParsePoint(const std::string& text) {
   std::vector<double> point;
@@ -129,33 +88,43 @@ udm::Result<std::vector<double>> ParsePoint(const std::string& text) {
   return point;
 }
 
-udm::Status RunGenerate(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string name, RequireFlag(flags, "dataset"));
-  UDM_ASSIGN_OR_RETURN(const std::string out, RequireFlag(flags, "out"));
-  const size_t n =
-      static_cast<size_t>(std::atol(GetFlag(flags, "n", "5000").c_str()));
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(GetFlag(flags, "seed", "1").c_str()));
+constexpr FlagSpec kGenerateFlags[] = {
+    {"dataset", kText, kRequired, "adult | ionosphere | breast | forest"},
+    {"n", kCount, "5000", "rows to generate"},
+    {"seed", kCount, "1", "generator seed"},
+    {"out", kText, kRequired, "output CSV"},
+};
+
+udm::Status RunGenerate(const FlagValues& flags) {
+  const std::string& out = flags.Text("out");
   UDM_ASSIGN_OR_RETURN(const udm::Dataset data,
-                       udm::MakeUciLike(name, n, seed));
+                       udm::MakeUciLike(flags.Text("dataset"),
+                                        flags.Size("n"), flags.Size("seed")));
   UDM_RETURN_IF_ERROR(udm::WriteCsv(data, out));
   std::printf("wrote %zu rows x %zu dims (%zu classes) to %s\n",
               data.NumRows(), data.NumDims(), data.NumClasses(), out.c_str());
   return udm::Status::OK();
 }
 
-udm::Status RunPerturb(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string in, RequireFlag(flags, "in"));
-  UDM_ASSIGN_OR_RETURN(const std::string out, RequireFlag(flags, "out"));
-  UDM_ASSIGN_OR_RETURN(const udm::Dataset clean, udm::ReadCsv(in));
+constexpr FlagSpec kPerturbFlags[] = {
+    {"in", kText, kRequired, "clean input CSV"},
+    {"out", kText, kRequired, "perturbed output CSV"},
+    {"f", kReal, "1.0", "error level f (psi scale, x sigma)"},
+    {"seed", kCount, "7", "perturbation seed"},
+    {"errors-out", kText, nullptr, "also write the per-entry psi table as CSV"},
+};
+
+udm::Status RunPerturb(const FlagValues& flags) {
+  const std::string& out = flags.Text("out");
+  UDM_ASSIGN_OR_RETURN(const udm::Dataset clean,
+                       udm::ReadCsv(flags.Text("in")));
   udm::PerturbationOptions options;
-  options.f = std::atof(GetFlag(flags, "f", "1.0").c_str());
-  options.seed =
-      static_cast<uint64_t>(std::atoll(GetFlag(flags, "seed", "7").c_str()));
+  options.f = flags.Real("f");
+  options.seed = flags.Size("seed");
   UDM_ASSIGN_OR_RETURN(const udm::UncertainDataset uncertain,
                        udm::Perturb(clean, options));
   UDM_RETURN_IF_ERROR(udm::WriteCsv(uncertain.data, out));
-  const std::string errors_out = GetFlag(flags, "errors-out", "");
+  const std::string& errors_out = flags.Text("errors-out");
   if (!errors_out.empty()) {
     // Persist ψ as a labeled CSV (label column ignored on load).
     UDM_ASSIGN_OR_RETURN(udm::Dataset psi,
@@ -185,17 +154,22 @@ udm::Result<udm::ErrorModel> LoadErrors(const std::string& path, size_t rows,
   return udm::ErrorModel::FromTable(rows, dims, std::move(table));
 }
 
-udm::Status RunSummarize(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string in, RequireFlag(flags, "in"));
-  UDM_ASSIGN_OR_RETURN(const std::string out, RequireFlag(flags, "out"));
-  UDM_ASSIGN_OR_RETURN(const udm::Dataset data, udm::ReadCsv(in));
+constexpr FlagSpec kSummarizeFlags[] = {
+    {"in", kText, kRequired, "input CSV"},
+    {"errors", kText, nullptr, "psi table CSV (default: zero errors)"},
+    {"clusters", kCount, "140", "micro-cluster budget q"},
+    {"out", kText, kRequired, "output summary"},
+};
+
+udm::Status RunSummarize(const FlagValues& flags) {
+  const std::string& out = flags.Text("out");
+  UDM_ASSIGN_OR_RETURN(const udm::Dataset data,
+                       udm::ReadCsv(flags.Text("in")));
   UDM_ASSIGN_OR_RETURN(
       const udm::ErrorModel errors,
-      LoadErrors(GetFlag(flags, "errors", ""), data.NumRows(),
-                 data.NumDims()));
+      LoadErrors(flags.Text("errors"), data.NumRows(), data.NumDims()));
   udm::MicroClusterer::Options options;
-  options.num_clusters = static_cast<size_t>(
-      std::atol(GetFlag(flags, "clusters", "140").c_str()));
+  options.num_clusters = flags.Size("clusters");
   UDM_ASSIGN_OR_RETURN(const std::vector<udm::MicroCluster> summary,
                        udm::BuildMicroClusters(data, errors, options));
   UDM_RETURN_IF_ERROR(udm::SaveMicroClusters(summary, out));
@@ -204,17 +178,18 @@ udm::Status RunSummarize(const Flags& flags) {
   return udm::Status::OK();
 }
 
-udm::Status RunDensity(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string summary_path,
-                       RequireFlag(flags, "summary"));
-  UDM_ASSIGN_OR_RETURN(const std::string point_text,
-                       RequireFlag(flags, "point"));
+constexpr FlagSpec kDensityFlags[] = {
+    {"summary", kText, kRequired, "micro-cluster summary file"},
+    {"point", kText, kRequired, "query point x1,x2,..."},
+};
+
+udm::Status RunDensity(const FlagValues& flags) {
   UDM_ASSIGN_OR_RETURN(const std::vector<udm::MicroCluster> summary,
-                       udm::LoadMicroClusters(summary_path));
+                       udm::LoadMicroClusters(flags.Text("summary")));
   UDM_ASSIGN_OR_RETURN(const udm::McDensityModel model,
                        udm::McDensityModel::Build(summary));
   UDM_ASSIGN_OR_RETURN(const std::vector<double> point,
-                       ParsePoint(point_text));
+                       ParsePoint(flags.Text("point")));
   if (point.size() != model.num_dims()) {
     return udm::Status::InvalidArgument(
         "point has " + std::to_string(point.size()) + " coordinates, model " +
@@ -227,27 +202,31 @@ udm::Status RunDensity(const Flags& flags) {
   return udm::Status::OK();
 }
 
-udm::Status RunExperiment(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string name, RequireFlag(flags, "dataset"));
-  const size_t n =
-      static_cast<size_t>(std::atol(GetFlag(flags, "n", "6000").c_str()));
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(GetFlag(flags, "seed", "1").c_str()));
+constexpr FlagSpec kExperimentFlags[] = {
+    {"dataset", kText, kRequired, "adult | ionosphere | breast | forest"},
+    {"n", kCount, "6000", "rows to generate"},
+    {"seed", kCount, "1", "generator seed (the protocol uses +42)"},
+    {"f", kReal, "1.2", "error level f"},
+    {"clusters", kCount, "140", "micro-cluster budget q per class"},
+    {"threshold", kReal, "0.75", "roll-up accuracy threshold"},
+    {"test", kCount, "400", "max test examples per repeat"},
+    {"repeats", kCount, "3", "random splits averaged"},
+    {"threads", kCount, "0", "test-pass width (0 = serial)"},
+};
+
+udm::Status RunExperiment(const FlagValues& flags) {
+  const std::string& name = flags.Text("dataset");
+  const size_t n = flags.Size("n");
   UDM_ASSIGN_OR_RETURN(const udm::Dataset clean,
-                       udm::MakeUciLike(name, n, seed));
+                       udm::MakeUciLike(name, n, flags.Size("seed")));
   udm::ClassificationExperimentConfig config;
-  config.f = std::atof(GetFlag(flags, "f", "1.2").c_str());
-  config.num_clusters = static_cast<size_t>(
-      std::atol(GetFlag(flags, "clusters", "140").c_str()));
-  config.accuracy_threshold =
-      std::atof(GetFlag(flags, "threshold", "0.75").c_str());
-  config.max_test_examples = static_cast<size_t>(
-      std::atol(GetFlag(flags, "test", "400").c_str()));
-  config.repeats = static_cast<size_t>(
-      std::atol(GetFlag(flags, "repeats", "3").c_str()));
-  config.threads = static_cast<size_t>(
-      std::atol(GetFlag(flags, "threads", "0").c_str()));
-  config.seed = seed + 42;
+  config.f = flags.Real("f");
+  config.num_clusters = flags.Size("clusters");
+  config.accuracy_threshold = flags.Real("threshold");
+  config.max_test_examples = flags.Size("test");
+  config.repeats = flags.Size("repeats");
+  config.threads = flags.Size("threads");
+  config.seed = flags.Size("seed") + 42;
   UDM_ASSIGN_OR_RETURN(const udm::ClassificationExperimentResult result,
                        udm::RunClassificationExperiment(clean, config));
   std::printf("dataset=%s n=%zu f=%.2f q=%zu\n", name.c_str(), n, config.f,
@@ -296,15 +275,44 @@ udm::Deadline DeadlineFromMillis(double ms) {
                   : udm::Deadline::Infinite();
 }
 
-udm::Status RunStream(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string in, RequireFlag(flags, "in"));
-  UDM_ASSIGN_OR_RETURN(const udm::Dataset data, udm::ReadCsv(in));
+constexpr FlagSpec kStreamFlags[] = {
+    {"in", kText, kRequired, "input CSV, one record per row"},
+    {"errors", kText, nullptr, "psi table CSV (default: zero errors)"},
+    {"clusters", kCount, "140", "micro-cluster budget q"},
+    {"policy", kText, "strict", "strict | repair | quarantine"},
+    {"fault-rate", kReal, "0", "share of records to corrupt"},
+    {"fault-seed", kCount, "7", "fault injector seed"},
+    {"checkpoint-dir", kText, nullptr, "checkpoint directory"},
+    {"checkpoint-every", kCount, "1000", "records per checkpoint (0 = final)"},
+    {"resume", kCount, "0", "nonzero: resume from the newest checkpoint"},
+    {"retry", kCount, "3", "checkpoint I/O attempts"},
+    {"batch", kCount, nullptr,
+     "records per deadline-checked batch (default 500 with --shards > 1, "
+     "else 0 = record at a time)"},
+    {"deadline-ms", kReal, "0", "per-batch deadline (0 = none)"},
+    {"shards", kCount, "1", "hash-partitioned shards (each in shard-<i>)"},
+    {"threads", kCount, "0", "shard drain width (0 = serial)"},
+    {"merged-clusters", kCount, "0", "merged budget (0 = --clusters)"},
+    {"out", kText, nullptr, "write the final summary here"},
+};
+
+udm::Status RunStream(const FlagValues& flags) {
+  const std::string& policy_name = flags.Text("policy");
+  UDM_ASSIGN_OR_RETURN(const udm::FaultPolicy policy,
+                       ParsePolicy(policy_name));
+  const size_t shards = flags.Size("shards");
+  const size_t batch = flags.Has("batch") ? flags.Size("batch")
+                       : shards > 1       ? 500
+                                          : 0;
+  if (shards > 1 && batch == 0) {
+    // An empty window would never advance the sharded loop below.
+    return udm::Status::InvalidArgument("--batch must be > 0 with --shards");
+  }
+  UDM_ASSIGN_OR_RETURN(const udm::Dataset data,
+                       udm::ReadCsv(flags.Text("in")));
   UDM_ASSIGN_OR_RETURN(
       const udm::ErrorModel errors,
-      LoadErrors(GetFlag(flags, "errors", ""), data.NumRows(),
-                 data.NumDims()));
-  UDM_ASSIGN_OR_RETURN(const udm::FaultPolicy policy,
-                       ParsePolicy(GetFlag(flags, "policy", "strict")));
+      LoadErrors(flags.Text("errors"), data.NumRows(), data.NumDims()));
 
   // Materialize the stream: one record per row, timestamps 1..n.
   std::vector<udm::StreamRecord> records;
@@ -317,12 +325,11 @@ udm::Status RunStream(const Flags& flags) {
     records.push_back(std::move(record));
   }
 
-  const double fault_rate = std::atof(GetFlag(flags, "fault-rate", "0").c_str());
+  const double fault_rate = flags.Real("fault-rate");
   if (fault_rate > 0.0) {
     udm::FaultInjector::Options inject;
     inject.fault_rate = fault_rate;
-    inject.seed = static_cast<uint64_t>(
-        std::atoll(GetFlag(flags, "fault-seed", "7").c_str()));
+    inject.seed = flags.Size("fault-seed");
     udm::FaultInjector injector(inject);
     records = injector.Apply(records);
     std::printf("injected %llu faults into %zu records (seed %llu)\n",
@@ -331,38 +338,29 @@ udm::Status RunStream(const Flags& flags) {
                 static_cast<unsigned long long>(inject.seed));
   }
 
-  const std::string checkpoint_dir = GetFlag(flags, "checkpoint-dir", "");
-  const size_t checkpoint_every = static_cast<size_t>(
-      std::atol(GetFlag(flags, "checkpoint-every", "1000").c_str()));
-  const bool resume = GetFlag(flags, "resume", "0") == "1";
+  const std::string& checkpoint_dir = flags.Text("checkpoint-dir");
+  const size_t checkpoint_every = flags.Size("checkpoint-every");
+  const bool resume = flags.Size("resume") != 0;
+  const size_t retry = flags.Size("retry");
+  const double deadline_ms = flags.Real("deadline-ms");
 
   // --shards K > 1 switches to the hash-partitioned front end: K
   // independent summarizers, each with its own checkpoint rotation under
   // <checkpoint-dir>/shard-<i>, merged into one global summary at the end.
-  const size_t shards = static_cast<size_t>(
-      std::atol(GetFlag(flags, "shards", "1").c_str()));
   if (shards > 1) {
     udm::ShardedSummarizerOptions options;
     options.num_shards = shards;
-    options.shard_options.num_clusters = static_cast<size_t>(
-        std::atol(GetFlag(flags, "clusters", "140").c_str()));
+    options.shard_options.num_clusters = flags.Size("clusters");
     options.shard_options.policy = policy;
-    options.merged_clusters = static_cast<size_t>(
-        std::atol(GetFlag(flags, "merged-clusters", "0").c_str()));
+    options.merged_clusters = flags.Size("merged-clusters");
     options.checkpoint_dir = checkpoint_dir;
     options.checkpoint_every = checkpoint_every;
-    options.retry.max_attempts = static_cast<size_t>(
-        std::atol(GetFlag(flags, "retry", "3").c_str()));
-    options.threads = static_cast<size_t>(
-        std::atol(GetFlag(flags, "threads", "0").c_str()));
+    options.retry.max_attempts = retry;
+    options.threads = flags.Size("threads");
     UDM_ASSIGN_OR_RETURN(
         udm::ShardedSummarizer sharded,
         udm::ShardedSummarizer::Create(data.NumDims(), options));
 
-    const size_t batch = static_cast<size_t>(
-        std::atol(GetFlag(flags, "batch", "500").c_str()));
-    const double deadline_ms =
-        std::atof(GetFlag(flags, "deadline-ms", "0").c_str());
     std::vector<udm::RecordView> views;
     size_t i = 0;
     while (i < records.size()) {
@@ -399,8 +397,7 @@ udm::Status RunStream(const Flags& flags) {
     }
 
     std::printf("streamed %zu records across %zu shards (policy %s)\n",
-                records.size(), shards,
-                GetFlag(flags, "policy", "strict").c_str());
+                records.size(), shards, policy_name.c_str());
     for (size_t s = 0; s < sharded.num_shards(); ++s) {
       const udm::ShardStatus status = sharded.shard_status(s);
       std::printf(
@@ -424,7 +421,7 @@ udm::Status RunStream(const Flags& flags) {
     }
     std::printf("merged %zu shard summaries into %zu micro-clusters\n",
                 merged.shards_merged, merged.clusters.size());
-    const std::string out = GetFlag(flags, "out", "");
+    const std::string& out = flags.Text("out");
     if (!out.empty()) {
       UDM_RETURN_IF_ERROR(udm::SaveMicroClusters(merged.clusters, out));
       std::printf("merged summary -> %s\n", out.c_str());
@@ -433,8 +430,7 @@ udm::Status RunStream(const Flags& flags) {
   }
 
   udm::StreamSummarizer::Options options;
-  options.num_clusters = static_cast<size_t>(
-      std::atol(GetFlag(flags, "clusters", "140").c_str()));
+  options.num_clusters = flags.Size("clusters");
   options.policy = policy;
 
   udm::Result<udm::StreamSummarizer> summarizer_holder =
@@ -447,8 +443,7 @@ udm::Status RunStream(const Flags& flags) {
   if (!checkpoint_dir.empty()) {
     udm::CheckpointOptions ckpt;
     ckpt.directory = checkpoint_dir;
-    ckpt.retry.max_attempts = static_cast<size_t>(
-        std::atol(GetFlag(flags, "retry", "3").c_str()));
+    ckpt.retry.max_attempts = retry;
     manager_holder = udm::CheckpointManager::Create(ckpt);
     UDM_RETURN_IF_ERROR(manager_holder.status());
     if (resume) {
@@ -464,11 +459,6 @@ udm::Status RunStream(const Flags& flags) {
     }
   }
   udm::StreamSummarizer& summarizer = *summarizer_holder;
-
-  const size_t batch =
-      static_cast<size_t>(std::atol(GetFlag(flags, "batch", "0").c_str()));
-  const double deadline_ms =
-      std::atof(GetFlag(flags, "deadline-ms", "0").c_str());
 
   if (batch > 0) {
     // Batched ingestion under a per-batch deadline. A batch that runs out
@@ -517,10 +507,10 @@ udm::Status RunStream(const Flags& flags) {
 
   std::printf("streamed %zu records into %zu micro-clusters (policy %s)\n",
               records.size(), summarizer.clusters().size(),
-              GetFlag(flags, "policy", "strict").c_str());
+              policy_name.c_str());
   PrintIngestStats(summarizer.ingest_stats());
 
-  const std::string out = GetFlag(flags, "out", "");
+  const std::string& out = flags.Text("out");
   if (!out.empty()) {
     UDM_RETURN_IF_ERROR(udm::SaveMicroClusters(summarizer.clusters(), out));
     std::printf("summary -> %s\n", out.c_str());
@@ -528,13 +518,16 @@ udm::Status RunStream(const Flags& flags) {
   return udm::Status::OK();
 }
 
-udm::Status RunRecover(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string dir,
-                       RequireFlag(flags, "checkpoint-dir"));
+constexpr FlagSpec kRecoverFlags[] = {
+    {"checkpoint-dir", kText, kRequired, "checkpoint directory"},
+    {"retry", kCount, "3", "checkpoint read attempts"},
+    {"out", kText, nullptr, "write the recovered summary here"},
+};
+
+udm::Status RunRecover(const FlagValues& flags) {
   udm::CheckpointOptions ckpt;
-  ckpt.directory = dir;
-  ckpt.retry.max_attempts =
-      static_cast<size_t>(std::atol(GetFlag(flags, "retry", "3").c_str()));
+  ckpt.directory = flags.Text("checkpoint-dir");
+  ckpt.retry.max_attempts = flags.Size("retry");
   UDM_ASSIGN_OR_RETURN(udm::CheckpointManager manager,
                        udm::CheckpointManager::Create(ckpt));
   UDM_ASSIGN_OR_RETURN(udm::CheckpointManager::Restored restored,
@@ -549,7 +542,7 @@ udm::Status RunRecover(const Flags& flags) {
               static_cast<unsigned long long>(
                   restored.summarizer.last_timestamp()));
   PrintIngestStats(restored.summarizer.ingest_stats());
-  const std::string out = GetFlag(flags, "out", "");
+  const std::string& out = flags.Text("out");
   if (!out.empty()) {
     UDM_RETURN_IF_ERROR(
         udm::SaveMicroClusters(restored.summarizer.clusters(), out));
@@ -563,15 +556,19 @@ udm::Status RunRecover(const Flags& flags) {
 /// q-bounded summary, and saves it in the micro-cluster wire format. The
 /// output is directly consumable by udm_serve (`mc <name> <file>` manifest
 /// lines) and by `udm_cli density`.
-udm::Status RunMerge(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string dir,
-                       RequireFlag(flags, "checkpoint-dir"));
-  UDM_ASSIGN_OR_RETURN(const std::string out, RequireFlag(flags, "out"));
-  // --shards 0 (the default) auto-discovers shard-<i> subdirectories.
-  const size_t shards = static_cast<size_t>(
-      std::atol(GetFlag(flags, "shards", "0").c_str()));
-  const size_t retry = static_cast<size_t>(
-      std::atol(GetFlag(flags, "retry", "3").c_str()));
+constexpr FlagSpec kMergeFlags[] = {
+    {"checkpoint-dir", kText, kRequired, "holds the shard-<i> checkpoints"},
+    {"shards", kCount, "0", "shards to merge (0 = every shard-<i> found)"},
+    {"clusters", kCount, nullptr, "merged budget q (default: the shards' own)"},
+    {"retry", kCount, "3", "checkpoint read attempts"},
+    {"out", kText, kRequired, "merged summary file"},
+};
+
+udm::Status RunMerge(const FlagValues& flags) {
+  const std::string& dir = flags.Text("checkpoint-dir");
+  const std::string& out = flags.Text("out");
+  const size_t shards = flags.Size("shards");
+  const size_t retry = flags.Size("retry");
 
   std::vector<std::vector<udm::MicroCluster>> summaries;
   size_t dims = 0;
@@ -629,10 +626,7 @@ udm::Status RunMerge(const Flags& flags) {
   }
 
   // An explicit --clusters overrides the shards' own budget.
-  const std::string clusters = GetFlag(flags, "clusters", "");
-  if (!clusters.empty()) {
-    options.num_clusters = static_cast<size_t>(std::atol(clusters.c_str()));
-  }
+  if (flags.Has("clusters")) options.num_clusters = flags.Size("clusters");
   const std::vector<udm::SummaryView> views(summaries.begin(),
                                             summaries.end());
   UDM_ASSIGN_OR_RETURN(
@@ -647,23 +641,31 @@ udm::Status RunMerge(const Flags& flags) {
   return udm::Status::OK();
 }
 
-udm::Status RunClassify(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string name, RequireFlag(flags, "dataset"));
-  const size_t n =
-      static_cast<size_t>(std::atol(GetFlag(flags, "n", "2000").c_str()));
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(GetFlag(flags, "seed", "1").c_str()));
-  const size_t test =
-      static_cast<size_t>(std::atol(GetFlag(flags, "test", "200").c_str()));
+constexpr FlagSpec kClassifyFlags[] = {
+    {"dataset", kText, kRequired, "adult | ionosphere | breast | forest"},
+    {"n", kCount, "2000", "rows to generate"},
+    {"seed", kCount, "1", "generator seed (perturbation uses +13)"},
+    {"f", kReal, "1.0", "error level f"},
+    {"test", kCount, "200", "held-out queries (the last rows)"},
+    {"clusters", kCount, "60", "micro-cluster budget q per class"},
+    {"deadline-ms", kReal, "0", "per-query deadline (0 = none)"},
+    {"eval-budget", kCount, "0", "kernel evals per query (0 = none)"},
+    {"total-ms", kReal, "0", "sweep budget; partials, then exit 3 (0 = none)"},
+};
+
+udm::Status RunClassify(const FlagValues& flags) {
+  const uint64_t seed = flags.Size("seed");
+  const size_t test = flags.Size("test");
   UDM_ASSIGN_OR_RETURN(const udm::Dataset clean,
-                       udm::MakeUciLike(name, n, seed));
+                       udm::MakeUciLike(flags.Text("dataset"),
+                                        flags.Size("n"), seed));
   if (test == 0 || test >= clean.NumRows()) {
     return udm::Status::InvalidArgument(
         "--test must be in (0, n); got " + std::to_string(test));
   }
 
   udm::PerturbationOptions perturb;
-  perturb.f = std::atof(GetFlag(flags, "f", "1.0").c_str());
+  perturb.f = flags.Real("f");
   perturb.seed = seed + 13;
   UDM_ASSIGN_OR_RETURN(const udm::UncertainDataset uncertain,
                        udm::Perturb(clean, perturb));
@@ -678,18 +680,15 @@ udm::Status RunClassify(const Flags& flags) {
   const udm::Dataset queries = uncertain.data.Select(test_idx);
 
   udm::DensityBasedClassifier::Options options;
-  options.num_clusters = static_cast<size_t>(
-      std::atol(GetFlag(flags, "clusters", "60").c_str()));
+  options.num_clusters = flags.Size("clusters");
   UDM_ASSIGN_OR_RETURN(
       const udm::DensityBasedClassifier classifier,
       udm::DensityBasedClassifier::Train(train, train_errors, options));
 
-  const double deadline_ms =
-      std::atof(GetFlag(flags, "deadline-ms", "0").c_str());
-  const uint64_t eval_budget = static_cast<uint64_t>(
-      std::atoll(GetFlag(flags, "eval-budget", "0").c_str()));
-  const double total_ms = std::atof(GetFlag(flags, "total-ms", "0").c_str());
-  const udm::Deadline total_deadline = DeadlineFromMillis(total_ms);
+  const double deadline_ms = flags.Real("deadline-ms");
+  const uint64_t eval_budget = flags.Size("eval-budget");
+  const udm::Deadline total_deadline =
+      DeadlineFromMillis(flags.Real("total-ms"));
 
   size_t correct = 0;
   size_t served = 0;
@@ -731,8 +730,12 @@ udm::Status RunClassify(const Flags& flags) {
 /// `udm_cli stats --in report.json` — renders a RunReport (the JSON that
 /// --metrics-out writes) as a human-readable summary: header, checks, and
 /// the nonzero metrics with histogram quantiles.
-udm::Status RunStats(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string in, RequireFlag(flags, "in"));
+constexpr FlagSpec kStatsFlags[] = {
+    {"in", kText, kRequired, "RunReport JSON (--metrics-out)"},
+};
+
+udm::Status RunStats(const FlagValues& flags) {
+  const std::string& in = flags.Text("in");
   std::ifstream file(in, std::ios::binary);
   if (!file) {
     return udm::Status::IoError("cannot open '" + in + "'");
@@ -860,20 +863,21 @@ udm::Status RunStats(const Flags& flags) {
   return udm::Status::OK();
 }
 
-/// `udm_cli top --socket /tmp/udm.sock [--interval-ms 1000]
-/// [--iterations 0] [--window-s 60]` — polls a live udm_serve's `stats`
-/// op and renders a one-screen dashboard per tick: windowed qps and
-/// latency quantiles, admission/shed rates, queue state, and the health
-/// rollup. `--iterations 0` polls until interrupted.
-udm::Status RunTop(const Flags& flags) {
-  UDM_ASSIGN_OR_RETURN(const std::string socket_path,
-                       RequireFlag(flags, "socket"));
-  const double interval_ms =
-      std::atof(GetFlag(flags, "interval-ms", "1000").c_str());
-  const size_t iterations = static_cast<size_t>(
-      std::atoll(GetFlag(flags, "iterations", "0").c_str()));
-  const double window_seconds =
-      std::atof(GetFlag(flags, "window-s", "60").c_str());
+constexpr FlagSpec kTopFlags[] = {
+    {"socket", kText, kRequired, "udm_serve socket"},
+    {"interval-ms", kReal, "1000", "poll interval"},
+    {"iterations", kCount, "0", "ticks to render (0 = until killed)"},
+    {"window-s", kReal, "60", "trailing stats window"},
+};
+
+/// `udm_cli top` — polls a live udm_serve's `stats` op and renders a
+/// one-screen dashboard per tick: windowed qps and latency quantiles,
+/// admission/shed rates, queue state, and the health rollup.
+udm::Status RunTop(const FlagValues& flags) {
+  const std::string& socket_path = flags.Text("socket");
+  const double interval_ms = flags.Real("interval-ms");
+  const size_t iterations = flags.Size("iterations");
+  const double window_seconds = flags.Real("window-s");
 
   const auto num_at = [](const udm::obs::JsonValue* object,
                          const char* key) -> double {
@@ -951,15 +955,6 @@ udm::Status RunTop(const Flags& flags) {
   return udm::Status::OK();
 }
 
-void PrintUsage() {
-  std::fprintf(stderr,
-               "usage: udm_cli <generate|perturb|summarize|density|"
-               "experiment|stream|recover|merge|classify|stats|top> "
-               "[--flag value ...]\n"
-               "       every command accepts --metrics-out FILE and "
-               "--trace-out FILE\n");
-}
-
 /// Exit-code contract: 0 OK; 2 usage/bad input; 3 deadline exceeded (the
 /// command printed its partial results before returning); 1 anything else.
 int ExitCodeFor(const udm::Status& status) {
@@ -974,38 +969,62 @@ int ExitCodeFor(const udm::Status& status) {
   }
 }
 
+struct Command {
+  const char* name;
+  udm::Status (*run)(const FlagValues&);
+  std::span<const FlagSpec> flags;
+};
+
+constexpr Command kCommands[] = {
+    {"generate", RunGenerate, kGenerateFlags},
+    {"perturb", RunPerturb, kPerturbFlags},
+    {"summarize", RunSummarize, kSummarizeFlags},
+    {"density", RunDensity, kDensityFlags},
+    {"experiment", RunExperiment, kExperimentFlags},
+    {"stream", RunStream, kStreamFlags},
+    {"recover", RunRecover, kRecoverFlags},
+    {"merge", RunMerge, kMergeFlags},
+    {"classify", RunClassify, kClassifyFlags},
+    {"stats", RunStats, kStatsFlags},
+    {"top", RunTop, kTopFlags},
+};
+
+/// Accepted by every command, after the command's own flags.
+constexpr FlagSpec kObservabilityFlags[] = {
+    {"metrics-out", kText, nullptr, "write a RunReport JSON"},
+    {"trace-out", kText, nullptr, "write a Chrome trace_event JSON"},
+};
+
 }  // namespace
 
-/// Removes `key` from `flags` and returns its value ("" when absent).
-std::string TakeFlag(Flags* flags, const std::string& key) {
-  const auto it = flags->find(key);
-  if (it == flags->end()) return "";
-  std::string value = it->second;
-  flags->erase(it);
-  return value;
-}
-
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    PrintUsage();
-    return 2;
+  const std::string command = argc > 1 ? argv[1] : "";
+  const Command* run = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&command](const Command& c) { return command == c.name; });
+  if (run == std::end(kCommands)) {
+    const bool help = command == "--help";
+    std::FILE* out = help ? stdout : stderr;
+    if (!help && !command.empty()) {
+      std::fprintf(out, "udm_cli: unknown command '%s'\n", command.c_str());
+    }
+    std::fprintf(out, "usage: udm_cli <command> [--flag value ...]\n"
+                      "commands:");
+    for (const Command& c : kCommands) std::fprintf(out, " %s", c.name);
+    std::fprintf(out, "\n'udm_cli <command> --help' lists its flags\n");
+    return help ? 0 : 2;
   }
-  const std::string command = argv[1];
-  udm::Result<Flags> flags = ParseFlags(argc, argv, 2);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
-    return 2;
-  }
-  // The observability flags are shared by every command; pop them before
-  // dispatch so no Run* function has to know about them.
-  const std::string metrics_out = TakeFlag(&*flags, "metrics-out");
-  const std::string trace_out = TakeFlag(&*flags, "trace-out");
+  std::vector<FlagSpec> specs(run->flags.begin(), run->flags.end());
+  specs.insert(specs.end(), std::begin(kObservabilityFlags),
+               std::end(kObservabilityFlags));
+  const std::string tool = "udm_cli " + command;
+  const FlagValues flags = udm::ParseFlagsOrExit(tool, specs, argc, argv, 2);
+  const std::string& metrics_out = flags.Text("metrics-out");
+  const std::string& trace_out = flags.Text("trace-out");
   std::unique_ptr<udm::obs::RunReport> report;
   if (!metrics_out.empty()) {
-    report = std::make_unique<udm::obs::RunReport>("udm_cli " + command);
-    for (const auto& [key, value] : *flags) {
-      report->SetConfig(key, value);
-    }
+    report = std::make_unique<udm::obs::RunReport>(tool);
+    report->SetConfig(flags);
   }
   if (!trace_out.empty()) udm::obs::EnableTracing();
 
@@ -1013,32 +1032,7 @@ int main(int argc, char** argv) {
   {
     const std::string span_name = "cli." + command;
     UDM_TRACE_SPAN(span_name.c_str());
-    if (command == "generate") {
-      status = RunGenerate(*flags);
-    } else if (command == "perturb") {
-      status = RunPerturb(*flags);
-    } else if (command == "summarize") {
-      status = RunSummarize(*flags);
-    } else if (command == "density") {
-      status = RunDensity(*flags);
-    } else if (command == "experiment") {
-      status = RunExperiment(*flags);
-    } else if (command == "stream") {
-      status = RunStream(*flags);
-    } else if (command == "recover") {
-      status = RunRecover(*flags);
-    } else if (command == "merge") {
-      status = RunMerge(*flags);
-    } else if (command == "classify") {
-      status = RunClassify(*flags);
-    } else if (command == "stats") {
-      status = RunStats(*flags);
-    } else if (command == "top") {
-      status = RunTop(*flags);
-    } else {
-      PrintUsage();
-      return 2;
-    }
+    status = run->run(flags);
   }
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());

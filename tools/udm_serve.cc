@@ -1,19 +1,5 @@
-// udm_serve — fault-tolerant density-serving daemon.
-//
-//   udm_serve --manifest models.txt --socket /tmp/udm.sock
-//             [--workers 2]
-//             [--max-queue 64] [--degrade-watermark 0.5]
-//             [--degraded-deadline-fraction 0.35]
-//             [--default-deadline-ms 250] [--max-deadline-ms 10000]
-//             [--drain-deadline-ms 2000]
-//             [--read-timeout-ms 5000] [--write-timeout-ms 5000]
-//             [--max-connections 64] [--retry 3]
-//             [--stats-window-s 60]
-//             [--access-log access.jsonl] [--rotate-bytes N]
-//             [--snapshot-out snapshot.json] [--snapshot-interval-ms 5000]
-//             [--metrics-out report.json]
-//   udm_serve --smoke [--access-log ...] [--snapshot-out ...]
-//             [--metrics-out report.json]
+// udm_serve — fault-tolerant density-serving daemon. `udm_serve --help`
+// lists its flags (kFlagSpecs below) with their defaults.
 //
 // Loads the model manifest (see serve/registry.h for the format), serves
 // JSON-lines eval/classify/ping/stats/healthz/readyz/tracez/metrics
@@ -38,20 +24,13 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <iterator>
-#include <map>
-#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "common/number_text.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/simd.h"
 #include "common/status.h"
@@ -65,109 +44,33 @@
 
 namespace {
 
-using Flags = std::map<std::string, std::string>;
+using enum udm::FlagKind;
+using udm::FlagValues;
 
-enum class FlagKind { kSwitch, kText, kCount, kReal };
-
-struct FlagSpec {
-  const char* name;
-  FlagKind kind;
+/// Every flag udm_serve reads; parsing rejects any other name, so a typo
+/// fails the launch instead of silently running on a default.
+constexpr udm::FlagSpec kFlagSpecs[] = {
+    {"smoke", kSwitch, nullptr, "self-check on scratch models and socket"},
+    {"manifest", kText, nullptr, "model manifest (required unless --smoke)"},
+    {"socket", kText, nullptr, "AF_UNIX socket path (required unless --smoke)"},
+    {"workers", kCount, "2", "worker threads"},
+    {"max-queue", kCount, "64", "queued + in-flight bound; shed past it"},
+    {"degrade-watermark", kReal, "0.5", "queue share that degrades"},
+    {"degraded-deadline-fraction", kReal, "0.35", "degraded deadline scale"},
+    {"default-deadline-ms", kReal, "250", "deadline when none is sent"},
+    {"max-deadline-ms", kReal, "10000", "cap on client deadlines"},
+    {"drain-deadline-ms", kReal, "2000", "SIGTERM grace before cancelling"},
+    {"read-timeout-ms", kReal, "5000", "drop a connection stalled mid-frame"},
+    {"write-timeout-ms", kReal, "5000", "drop a client not reading replies"},
+    {"max-connections", kCount, "64", "concurrent client cap"},
+    {"retry", kCount, "3", "manifest/model read attempts"},
+    {"stats-window-s", kReal, "60", "stats/metrics window (at most 64 s)"},
+    {"access-log", kText, nullptr, "per-request JSON-lines log"},
+    {"rotate-bytes", kCount, "67108864", "access-log size that rotates it"},
+    {"snapshot-out", kText, nullptr, "windowed-metrics snapshot file"},
+    {"snapshot-interval-ms", kReal, "5000", "snapshot period"},
+    {"metrics-out", kText, nullptr, "final RunReport, written during drain"},
 };
-
-/// Every flag udm_serve reads; ParseFlags rejects any other name, so a
-/// typo fails the launch instead of silently running on a default.
-constexpr FlagSpec kFlagSpecs[] = {
-    {"smoke", FlagKind::kSwitch},
-    {"manifest", FlagKind::kText},
-    {"socket", FlagKind::kText},
-    {"workers", FlagKind::kCount},
-    {"max-queue", FlagKind::kCount},
-    {"degrade-watermark", FlagKind::kReal},
-    {"degraded-deadline-fraction", FlagKind::kReal},
-    {"default-deadline-ms", FlagKind::kReal},
-    {"max-deadline-ms", FlagKind::kReal},
-    {"drain-deadline-ms", FlagKind::kReal},
-    {"read-timeout-ms", FlagKind::kReal},
-    {"write-timeout-ms", FlagKind::kReal},
-    {"max-connections", FlagKind::kCount},
-    {"retry", FlagKind::kCount},
-    {"stats-window-s", FlagKind::kReal},
-    {"access-log", FlagKind::kText},
-    {"rotate-bytes", FlagKind::kCount},
-    {"snapshot-out", FlagKind::kText},
-    {"snapshot-interval-ms", FlagKind::kReal},
-    {"metrics-out", FlagKind::kText},
-};
-
-/// A non-negative decimal integer spanning the whole token.
-std::optional<size_t> ParseCount(const std::string& text) {
-  size_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
-}
-
-/// A finite number spanning the whole token.
-std::optional<double> ParseReal(const std::string& text) {
-  const std::optional<double> value = udm::ParseDouble(text);
-  if (!value || !std::isfinite(*value)) return std::nullopt;
-  return value;
-}
-
-udm::Result<Flags> ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      return udm::Status::InvalidArgument("expected --flag, got '" + key +
-                                          "'");
-    }
-    const std::string name = key.substr(2);
-    const auto spec =
-        std::find_if(std::begin(kFlagSpecs), std::end(kFlagSpecs),
-                     [&name](const FlagSpec& s) { return name == s.name; });
-    if (spec == std::end(kFlagSpecs)) {
-      return udm::Status::InvalidArgument("unknown flag '" + key + "'");
-    }
-    if (spec->kind == FlagKind::kSwitch) {
-      flags[name] = "1";
-      continue;
-    }
-    if (i + 1 >= argc) {
-      return udm::Status::InvalidArgument("flag '" + key + "' needs a value");
-    }
-    const std::string value = argv[++i];
-    if (spec->kind == FlagKind::kCount && !ParseCount(value)) {
-      return udm::Status::InvalidArgument(
-          "flag '" + key + "' needs a non-negative integer, got '" + value +
-          "'");
-    }
-    if (spec->kind == FlagKind::kReal && !ParseReal(value)) {
-      return udm::Status::InvalidArgument(
-          "flag '" + key + "' needs a finite number, got '" + value + "'");
-    }
-    flags[name] = value;
-  }
-  return flags;
-}
-
-std::string GetFlag(const Flags& flags, const std::string& key,
-                    const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-// The numeric getters read values ParseFlags already validated.
-double GetDouble(const Flags& flags, const std::string& key, double fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : *ParseReal(it->second);
-}
-
-size_t GetSize(const Flags& flags, const std::string& key, size_t fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : *ParseCount(it->second);
-}
 
 // Self-pipe for async-signal-safe shutdown: the handler only writes one
 // byte; all real work happens on the main thread after poll() wakes.
@@ -423,11 +326,11 @@ bool RunSmokeChecks(const std::string& socket_path,
   return all_ok;
 }
 
-udm::Status Run(const Flags& flags) {
-  const bool smoke = flags.count("smoke") != 0;
+udm::Status Run(const FlagValues& flags) {
+  const bool smoke = flags.Has("smoke");
   SmokeFixture fixture;
-  std::string manifest_path = GetFlag(flags, "manifest", "");
-  std::string socket_path = GetFlag(flags, "socket", "");
+  std::string manifest_path = flags.Text("manifest");
+  std::string socket_path = flags.Text("socket");
   if (smoke) {
     UDM_RETURN_IF_ERROR(fixture.Create());
     if (manifest_path.empty()) manifest_path = fixture.manifest_path;
@@ -439,55 +342,44 @@ udm::Status Run(const Flags& flags) {
   }
 
   udm::serve::ModelRegistry::Options registry_options;
-  registry_options.retry.max_attempts = GetSize(flags, "retry", 3);
+  registry_options.retry.max_attempts = flags.Size("retry");
   udm::serve::ModelRegistry registry(registry_options);
   UDM_RETURN_IF_ERROR(registry.LoadManifest(manifest_path));
 
   udm::serve::ServerOptions options;
   options.socket_path = socket_path;
-  options.workers = GetSize(flags, "workers", 2);
-  options.max_queue = GetSize(flags, "max-queue", 64);
-  options.degrade_watermark = GetDouble(flags, "degrade-watermark", 0.5);
+  options.workers = flags.Size("workers");
+  options.max_queue = flags.Size("max-queue");
+  options.degrade_watermark = flags.Real("degrade-watermark");
   options.degraded_deadline_fraction =
-      GetDouble(flags, "degraded-deadline-fraction", 0.35);
-  options.default_deadline_ms = GetDouble(flags, "default-deadline-ms", 250.0);
-  options.max_deadline_ms = GetDouble(flags, "max-deadline-ms", 10000.0);
-  options.drain_deadline_ms = GetDouble(flags, "drain-deadline-ms", 2000.0);
-  options.read_timeout_ms = GetDouble(flags, "read-timeout-ms", 5000.0);
-  options.write_timeout_ms = GetDouble(flags, "write-timeout-ms", 5000.0);
-  options.max_connections = GetSize(flags, "max-connections", 64);
-  options.stats_window_seconds = GetDouble(flags, "stats-window-s", 60.0);
+      flags.Real("degraded-deadline-fraction");
+  options.default_deadline_ms = flags.Real("default-deadline-ms");
+  options.max_deadline_ms = flags.Real("max-deadline-ms");
+  options.drain_deadline_ms = flags.Real("drain-deadline-ms");
+  options.read_timeout_ms = flags.Real("read-timeout-ms");
+  options.write_timeout_ms = flags.Real("write-timeout-ms");
+  options.max_connections = flags.Size("max-connections");
+  options.stats_window_seconds = flags.Real("stats-window-s");
 
   // Per-request structured access log (--access-log; --smoke defaults it
   // into the scratch dir so the fixture always exercises the writer).
   udm::obs::AccessLog access_log;
-  std::string access_log_path = GetFlag(flags, "access-log", "");
+  std::string access_log_path = flags.Text("access-log");
   if (smoke && access_log_path.empty()) {
     access_log_path = fixture.workdir + "/access.jsonl";
   }
   if (!access_log_path.empty()) {
     udm::obs::AccessLogOptions log_options;
     log_options.path = access_log_path;
-    log_options.rotate_bytes = GetSize(flags, "rotate-bytes", 64ull << 20);
+    log_options.rotate_bytes = flags.Size("rotate-bytes");
     UDM_RETURN_IF_ERROR(access_log.Open(log_options));
     options.access_log = &access_log;
   }
 
   udm::obs::RunReport report("udm_serve");
-  report.SetConfig("manifest", manifest_path);
-  report.SetConfig("socket", options.socket_path);
-  report.SetConfig("workers", static_cast<uint64_t>(options.workers));
-  report.SetConfig("max_queue", static_cast<uint64_t>(options.max_queue));
-  report.SetConfig("degrade_watermark", options.degrade_watermark);
-  report.SetConfig("default_deadline_ms", options.default_deadline_ms);
-  report.SetConfig("drain_deadline_ms", options.drain_deadline_ms);
-  report.SetConfig("stats_window_s", options.stats_window_seconds);
+  report.SetConfig(flags);
   report.SetConfig("models", static_cast<uint64_t>(registry.size()));
   report.SetConfig("simd", udm::SimdLevelName(udm::ProcessSimdLevel()));
-  report.SetConfig("smoke", smoke ? "true" : "false");
-  if (!access_log_path.empty()) {
-    report.SetConfig("access_log", access_log_path);
-  }
 
   udm::serve::Server server(&registry, options);
   UDM_RETURN_IF_ERROR(server.Start());
@@ -498,7 +390,7 @@ udm::Status Run(const Flags& flags) {
 
   // Background metrics snapshotter (--snapshot-out; --smoke defaults it).
   udm::obs::Snapshotter snapshotter;
-  std::string snapshot_path = GetFlag(flags, "snapshot-out", "");
+  std::string snapshot_path = flags.Text("snapshot-out");
   if (smoke && snapshot_path.empty()) {
     snapshot_path = fixture.workdir + "/snapshot.json";
   }
@@ -506,10 +398,9 @@ udm::Status Run(const Flags& flags) {
     udm::obs::SnapshotterOptions snapshot_options;
     snapshot_options.path = snapshot_path;
     snapshot_options.interval_seconds =
-        GetDouble(flags, "snapshot-interval-ms", 5000.0) / 1000.0;
+        flags.Real("snapshot-interval-ms") / 1000.0;
     snapshot_options.window_seconds = options.stats_window_seconds;
     UDM_RETURN_IF_ERROR(snapshotter.Start(snapshot_options));
-    report.SetConfig("snapshot_out", snapshot_path);
   }
 
   bool smoke_ok = true;
@@ -562,7 +453,7 @@ udm::Status Run(const Flags& flags) {
   row("client_aborts", counters.client_aborts);
   report.AddTable(std::move(table));
 
-  const std::string metrics_out = GetFlag(flags, "metrics-out", "");
+  const std::string& metrics_out = flags.Text("metrics-out");
   if (!metrics_out.empty()) {
     UDM_RETURN_IF_ERROR(report.Write(metrics_out));
     std::printf("wrote report to %s\n", metrics_out.c_str());
@@ -606,13 +497,9 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &action, nullptr);
   sigaction(SIGINT, &action, nullptr);
 
-  udm::Result<Flags> flags = ParseFlags(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "udm_serve: %s\n",
-                 flags.status().ToString().c_str());
-    return 2;
-  }
-  const udm::Status status = Run(*flags);
+  const FlagValues flags =
+      udm::ParseFlagsOrExit("udm_serve", kFlagSpecs, argc, argv);
+  const udm::Status status = Run(flags);
   if (!status.ok()) {
     std::fprintf(stderr, "udm_serve: %s\n", status.ToString().c_str());
     return status.code() == udm::StatusCode::kInvalidArgument ? 2 : 1;
